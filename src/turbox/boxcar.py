@@ -176,10 +176,7 @@ class _Workspace:
     horizon_lo: float
     horizon_hi: float
     nodes: np.ndarray
-    df_nodes: np.ndarray
-    g_nodes: np.ndarray
-    dfp_nodes: np.ndarray  # d(delta_f)/d eps on the nodes
-    gp_nodes: np.ndarray  # dg/d eps on the nodes
+    fields: tuple  # _fields on the nodes: (delta_f, g, delta_f', g')
     limit_lo: float  # g/delta_f limit at -inf
     limit_hi: float
     sign_lo: float  # delta_f tail signs
@@ -188,20 +185,39 @@ class _Workspace:
     beta_max: float
 
 
-def _df_g_primes(res, x):
-    """(d delta_f/d eps, dg/d eps) on an array, tail-stable.
+def _fields(res, x):
+    """(delta_f, g, d delta_f/d eps, dg/d eps) on a finite-energy array.
 
-    Uses f' = -beta f(1-f) and 1 - 2f = tanh(x/2)."""
-    x = np.asarray(x, dtype=float)
+    One set of exponentials e = exp(-|x|) per bath serves all four:
+    f(1-f) = e / (1+e)^2, f' = -beta f(1-f) and 1 - 2f = tanh(x/2) =
+    sign(x) (1-e) / (1+e).  delta_f is written as
+
+        sign(d) e^{(|d| - |x_L| - |x_R|)/2} (1 - e^{-|d|}) / ((1+e_L)(1+e_R))
+
+    with d = x_R - x_L, which has the exact sign and full relative accuracy
+    in both tails, and cannot overflow because |d| <= |x_L| + |x_R|.  The
+    leading exponential is max(e_L, e_R) when x_L and x_R share a sign and
+    1 otherwise, so it is taken from the same exponentials as g: where
+    R = g - (lam eps + eta) delta_f cancels below rounding deep in a tail,
+    both terms round alike.
+    """
     xL = res.beta_L * (x - res.mu_L)
     xR = res.beta_R * (x - res.mu_R)
-    eL = np.exp(-np.abs(xL))
-    eR = np.exp(-np.abs(xR))
-    flL = eL / (1.0 + eL) ** 2
-    flR = eR / (1.0 + eR) ** 2
-    dfp = -res.beta_L * flL + res.beta_R * flR
-    gp = -res.beta_L * flL * np.tanh(xL / 2.0) - res.beta_R * flR * np.tanh(xR / 2.0)
-    return dfp, gp
+    aL = np.abs(xL)
+    aR = np.abs(xR)
+    eL = np.exp(-aL)
+    eR = np.exp(-aR)
+    pL = 1.0 + eL
+    pR = 1.0 + eR
+    flL = eL / (pL * pL)
+    flR = eR / (pR * pR)
+    d = xR - xL
+    lead = np.where((xL < 0.0) == (xR < 0.0), np.maximum(eL, eR), 1.0)
+    df = np.sign(d) * lead * -np.expm1(-np.abs(d)) / (pL * pR)
+    bL = res.beta_L * flL
+    bR = res.beta_R * flR
+    gp = -bL * np.sign(xL) * (1.0 - eL) / pL - bR * np.sign(xR) * (1.0 - eR) / pR
+    return df, flL + flR, bR - bL, gp
 
 
 def _hull(res, x):
@@ -246,7 +262,6 @@ def _workspace(res: ReservoirPair) -> _Workspace:
     else:
         lim_lo, lim_hi = g_ratio_limits(res)
     s_lo, s_hi = tail_signs(res)
-    dfp, gp = _df_g_primes(res, nodes)
 
     return _Workspace(
         res=res,
@@ -258,10 +273,7 @@ def _workspace(res: ReservoirPair) -> _Workspace:
         horizon_lo=horizon_lo,
         horizon_hi=horizon_hi,
         nodes=nodes,
-        df_nodes=np.asarray(delta_f(res, nodes)),
-        g_nodes=np.asarray(g_noise(res, nodes)),
-        dfp_nodes=dfp,
-        gp_nodes=gp,
+        fields=_fields(res, nodes),
         limit_lo=lim_lo,
         limit_hi=lim_hi,
         sign_lo=s_lo,
@@ -315,6 +327,38 @@ def _residual_scalar(res, lam, eta, e):
     return g - (lam * e + eta) * df
 
 
+def _rprime_scalar(res, lam, eta, e):
+    """dR/d eps at a finite energy.
+
+    Uses f' = -beta f(1-f) and 1 - 2f = tanh(x/2) for tail stability.
+    """
+    xL = res.beta_L * (e - res.mu_L)
+    xR = res.beta_R * (e - res.mu_R)
+    eL = math.exp(-abs(xL))
+    eR = math.exp(-abs(xR))
+    flL = eL / (1.0 + eL) ** 2
+    flR = eR / (1.0 + eR) ** 2
+    dfp = -res.beta_L * flL + res.beta_R * flR
+    gp = -res.beta_L * flL * math.tanh(xL / 2.0) - res.beta_R * flR * math.tanh(
+        xR / 2.0
+    )
+    df, _ = _df_g_scalar(res, e)
+    return gp - lam * df - (lam * e + eta) * dfp
+
+
+def _root(f, a, b, fa, fb, xtol):
+    """Root of f on the bracket [a, b], whose end values fa, fb (of opposite
+    signs) the caller already holds.
+
+    The end values come from the scan that found the bracket: brentq never
+    recomputes them, so a formula that rounds to the other sign at an end
+    deep in a tail cannot undo the bracket.
+    """
+    if a == b:
+        return a
+    return brentq(lambda x: fa if x == a else fb if x == b else f(x), a, b, xtol=xtol)
+
+
 # ---------------------------------------------------------------------------
 # solve_boxcar
 # ---------------------------------------------------------------------------
@@ -341,19 +385,18 @@ def _tail_included(ws, lam, eta, side):
     return s_df * line_sign < 0.0
 
 
-def _find_tail_root(ws, lam, eta, side, xtol):
+def _find_tail_root(ws, lam, eta, side, edge, f_edge, xtol):
     """Bracket the root between the scan edge and infinity on one side.
 
     Called only when the asymptotic tail sign contradicts the sign of R at
     the window edge, i.e. a root is 'coming from infinity' (near the B_0
-    bifurcation).  The crossing of the line with the g/delta_f tail limit
-    gives a sharp location hint; beyond the underflow horizon the hint
-    itself is returned (the neglected measure carries ~e^-700 weight).
+    bifurcation).  `edge` is the outermost scan node and `f_edge` the scan's
+    R there.  The crossing of the line with the g/delta_f tail limit gives a
+    sharp location hint; beyond the underflow horizon the hint itself is
+    returned (the neglected measure carries ~e^-700 weight).
     """
     res = ws.res
-    edge = ws.scan_hi if side > 0 else ws.scan_lo
     horizon = ws.horizon_hi if side > 0 else ws.horizon_lo
-    f_edge = _residual_scalar(res, lam, eta, edge)
     if lam != 0.0:
         g_lim = ws.limit_hi if side > 0 else ws.limit_lo
         hint = (g_lim - eta) / lam
@@ -373,6 +416,9 @@ def _find_tail_root(ws, lam, eta, side, xtol):
             break
     probes = sorted((q for q in probes if (q - edge) * side > 0), key=lambda q: side * q)
 
+    def rfun(x):
+        return _residual_scalar(res, lam, eta, x)
+
     prev = edge
     f_prev = f_edge
     for q in probes:
@@ -383,10 +429,9 @@ def _find_tail_root(ws, lam, eta, side, xtol):
             break  # underflow: no sign information this deep in the tail
         f_q = g_q - (lam * q + eta) * df_q
         if f_q == 0.0 or f_q * f_prev < 0.0:
-            lo, hi = (prev, q) if prev < q else (q, prev)
-            return brentq(
-                lambda x: _residual_scalar(res, lam, eta, x), lo, hi, xtol=xtol
-            )
+            if prev < q:
+                return _root(rfun, prev, q, f_prev, f_q, xtol)
+            return _root(rfun, q, prev, f_q, f_prev, xtol)
         prev, f_prev = q, f_q
         if q == horizon:
             break
@@ -396,6 +441,69 @@ def _find_tail_root(ws, lam, eta, side, xtol):
     if hint is not None and (hint - edge) * side > 0:
         return hint
     return prev
+
+
+def _residuals(lam, eta, x, fields):
+    """(R, R') on the energies x from their fields (delta_f, g, delta_f', g')."""
+    df, g, dfp, gp = fields
+    line = lam * x + eta
+    return g - line * df, gp - lam * df - line * dfp
+
+
+_Z0_K = np.arange(65.0)  # nodes around the zero of the line
+_ZC_K = np.arange(33.0)  # nodes around each crossing of a tail limit
+
+
+def _span(c, w, k):
+    """np.linspace(c - w, c + w, k.size), bit for bit, without its overhead."""
+    lo, hi = c - w, c + w
+    x = lo + k * ((hi - lo) / (k.size - 1))
+    x[-1] = hi
+    return x
+
+
+def _splice(nodes, ex, arrays, ex_arrays):
+    """Merge the sorted extra nodes `ex` into the sorted grid `nodes`, and
+    the values on each into the matching array."""
+    n = nodes.size + ex.size
+    at = np.searchsorted(nodes, ex) + np.arange(ex.size)
+    rest = np.ones(n, dtype=bool)
+    rest[at] = False
+    out = []
+    for grid_vals, ex_vals in zip((nodes, *arrays), (ex, *ex_arrays)):
+        merged = np.empty(n)
+        merged[rest] = grid_vals
+        merged[at] = ex_vals
+        out.append(merged)
+    return out
+
+
+def _hermite_extremum(x0, x1, r0, r1, m0, m1):
+    """Extremum of the cubic Hermite interpolant p of (r, r') on [x0, x1].
+
+    r' changes sign across the gap, so the quadratic p' has exactly one
+    root t in (0, 1), in units of the gap.  Returns (x, p(x), w), where
+    w = 16 t^2 (1-t)^2 is the shape of the Hermite error at t relative to
+    its largest value, at the midpoint; None if rounding put t outside.
+    """
+    h = x1 - x0
+    d0 = h * m0
+    d1 = h * m1
+    dr = r0 - r1
+    # p'(t) = A t^2 + B t + C, with p'(0) = d0 and p'(1) = d1
+    A = 6.0 * dr + 3.0 * (d0 + d1)
+    B = -6.0 * dr - 4.0 * d0 - 2.0 * d1
+    q = -0.5 * (B + math.copysign(math.sqrt(max(B * B - 4.0 * A * d0, 0.0)), B))
+    t = d0 / q if q != 0.0 else math.nan
+    if not 0.0 <= t <= 1.0 and A != 0.0:
+        t = q / A
+    if not 0.0 <= t <= 1.0:
+        return None
+    s = t * t
+    u = s * t
+    p = (r0 * (2.0 * u - 3.0 * s + 1.0) + d0 * (u - 2.0 * s + t)
+         + r1 * (3.0 * s - 2.0 * u) + d1 * (u - s))
+    return x0 + t * h, p, 16.0 * s * (1.0 - t) ** 2
 
 
 def solve_boxcar(res: ReservoirPair, m: Multipliers, xtol=1e-12) -> BoxcarSet:
@@ -412,102 +520,90 @@ def solve_boxcar(res: ReservoirPair, m: Multipliers, xtol=1e-12) -> BoxcarSet:
     lam, eta = m.lam, m.eta
 
     nodes = ws.nodes
-    df = ws.df_nodes
-    g = ws.g_nodes
-    dfp = ws.dfp_nodes
-    gp = ws.gp_nodes
+    r, rp = _residuals(lam, eta, nodes, ws.fields)
     extras = []
     if lam != 0.0:
         z0 = -eta / lam
         if ws.scan_lo < z0 < ws.scan_hi:
-            w = 4.0 / ws.beta_max
-            extras.append(np.linspace(z0 - w, z0 + w, 65))
+            extras.append(_span(z0, 4.0 / ws.beta_max, _Z0_K))
         for g_lim in (ws.limit_lo, ws.limit_hi):
             zc = (g_lim - eta) / lam
             if ws.scan_lo < zc < ws.scan_hi:
-                w = 2.0 / ws.beta_max
-                extras.append(np.linspace(zc - w, zc + w, 33))
+                extras.append(_span(zc, 2.0 / ws.beta_max, _ZC_K))
     if extras:
-        ex = np.unique(np.concatenate(extras))
+        ex = np.sort(np.concatenate(extras)) if len(extras) > 1 else extras[0]
         ex = ex[(ex > ws.scan_lo) & (ex < ws.scan_hi)]
-        nodes = np.concatenate([nodes, ex])
-        order = np.argsort(nodes, kind="stable")
-        nodes = nodes[order]
-        df = np.concatenate([df, np.asarray(delta_f(res, ex))])[order]
-        g = np.concatenate([g, np.asarray(g_noise(res, ex))])[order]
-        exp_dfp, exp_gp = _df_g_primes(res, ex)
-        dfp = np.concatenate([dfp, exp_dfp])[order]
-        gp = np.concatenate([gp, exp_gp])[order]
+        ex_r, ex_rp = _residuals(lam, eta, ex, _fields(res, ex))
+        nodes, r, rp = _splice(nodes, ex, (r, rp), (ex_r, ex_rp))
 
     def rfun(x):
         return _residual_scalar(res, lam, eta, x)
 
     def rprime(x):
-        m_local = Multipliers(lam, eta)
-        return residual_prime(res, m_local, x)
+        return _rprime_scalar(res, lam, eta, x)
 
-    def roots_from_scan(nodes, df, g, dfp, gp):
-        r = g - (lam * nodes + eta) * df
-        r = np.where(r == 0.0, 5e-324, r)  # exact node zeros: treat as outside
-        s = np.sign(r)
-        idx = np.nonzero(s[:-1] * s[1:] < 0)[0]
-        roots = [brentq(rfun, nodes[i], nodes[i + 1], xtol=xtol) for i in idx]
+    def roots_from_scan(nodes, r, rp):
+        neg = r < 0.0  # exact node zeros count as outside
+        same = neg[:-1] == neg[1:]
+        idx = np.flatnonzero(~same)
+        roots = [_root(rfun, nodes[i], nodes[i + 1], r[i], r[i + 1], xtol) for i in idx]
 
-        # tangency guard: a dip of R may fit between two nodes of equal
-        # sign; an interior extremum of R is betrayed by a sign change of
-        # its analytic derivative, so locate the extremum exactly and test
-        # the sign of R there
-        rp = gp - lam * df - (lam * nodes + eta) * dfp
-        crossing = np.nonzero(
-            (rp[:-1] * rp[1:] < 0.0) & (s[:-1] == s[1:]) & (np.abs(r[:-1]) > 0.0)
-        )[0]
-        for i in crossing:
-            gap = nodes[i + 1] - nodes[i]
-            # the dip is quadratic around the extremum, so locating it to a
-            # small fraction of the gap decides the sign reliably
-            try:
-                x_ext = brentq(rprime, nodes[i], nodes[i + 1],
-                               xtol=max(1e-3 * gap, 1e-14))
-            except ValueError:
-                # deep in a tail R' is rounding noise, and the node formula
-                # and the scalar one may disagree in sign: the scalar R'
-                # does not change sign here, so there is no extremum to test
+        # tangency guard: a dip of R toward zero may fit between two nodes
+        # of equal sign; it is betrayed by R' changing sign across the gap
+        # and pointing toward zero at the left node
+        dip = np.flatnonzero(
+            same & (rp[:-1] * rp[1:] < 0.0) & ((rp[:-1] < 0.0) != neg[:-1])
+        )
+        for i in dip:
+            x0, x1 = float(nodes[i]), float(nodes[i + 1])
+            r0, r1 = float(r[i]), float(r[i + 1])
+            rp0, rp1 = float(rp[i]), float(rp[i + 1])
+            # the cubic Hermite interpolant through the scan values locates
+            # the dip, and one exact R there decides it, unless R keeps its
+            # sign by less than the interpolation error allows for (that
+            # error is estimated from the same point, scaled to its worst)
+            ext = _hermite_extremum(x0, x1, r0, r1, rp0, rp1)
+            if ext is not None:
+                x_ext, p_ext, w = ext
+                r_ext = rfun(x_ext)
+            if ext is None or (
+                (r_ext < 0.0) == (r0 < 0.0)
+                and abs(r_ext) * w <= 4.0 * abs(r_ext - p_ext)
+            ):
+                # exact extremum search; the dip is quadratic around it, so
+                # a small fraction of the gap decides the sign reliably
+                x_ext = _root(rprime, x0, x1, rp0, rp1, max(1e-3 * (x1 - x0), 1e-14))
+                r_ext = rfun(x_ext)
+            if r_ext == 0.0 or (r_ext < 0.0) == (r0 < 0.0):
                 continue
-            r_ext = rfun(x_ext)
-            if r_ext == 0.0 or (r_ext < 0.0) == (r[i] < 0.0):
-                continue
-            roots.append(brentq(rfun, nodes[i], x_ext, xtol=xtol))
-            roots.append(brentq(rfun, x_ext, nodes[i + 1], xtol=xtol))
-        return sorted(roots), r
-
-    roots, r_scan = roots_from_scan(nodes, df, g, dfp, gp)
+            roots.append(_root(rfun, x0, x_ext, r0, r_ext, xtol))
+            roots.append(_root(rfun, x_ext, x1, r_ext, r1, xtol))
+        roots.sort()
+        return roots
 
     left_in = _tail_included(ws, lam, eta, -1)
     right_in = _tail_included(ws, lam, eta, +1)
 
-    # roots hiding between the scan edge and infinity (B_0 neighbourhood)
-    if left_in != (r_scan[0] < 0.0):
-        roots.append(_find_tail_root(ws, lam, eta, -1, xtol))
-    if right_in != (r_scan[-1] < 0.0):
-        roots.append(_find_tail_root(ws, lam, eta, +1, xtol))
-    roots = sorted(roots)
+    def with_tail_roots(nodes, r, rp):
+        roots = roots_from_scan(nodes, r, rp)
+        # roots hiding between the scan edge and infinity (B_0 neighbourhood)
+        if left_in != (r[0] < 0.0):
+            roots.insert(0, _find_tail_root(ws, lam, eta, -1, nodes[0], r[0], xtol))
+        if right_in != (r[-1] < 0.0):
+            roots.append(_find_tail_root(ws, lam, eta, +1, nodes[-1], r[-1], xtol))
+        return roots
+
+    roots = with_tail_roots(nodes, r, rp)
 
     def parity_bad(roots):
         return left_in != (right_in ^ (len(roots) % 2 == 1))
 
     # parity: each simple root flips inclusion, so the two tails must agree
     if parity_bad(roots):
-        mids = 0.5 * (nodes[:-1] + nodes[1:])
-        nodes2 = np.sort(np.concatenate([nodes, mids]))
-        df2 = np.asarray(delta_f(res, nodes2))
-        g2 = np.asarray(g_noise(res, nodes2))
-        dfp2, gp2 = _df_g_primes(res, nodes2)
-        roots, r_scan = roots_from_scan(nodes2, df2, g2, dfp2, gp2)
-        if left_in != (r_scan[0] < 0.0):
-            roots.append(_find_tail_root(ws, lam, eta, -1, xtol))
-        if right_in != (r_scan[-1] < 0.0):
-            roots.append(_find_tail_root(ws, lam, eta, +1, xtol))
-        roots = sorted(roots)
+        nodes2 = np.sort(np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:])]))
+        roots = with_tail_roots(
+            nodes2, *_residuals(lam, eta, nodes2, _fields(res, nodes2))
+        )
         if parity_bad(roots):
             # a root sitting exactly on a node gets bracketed from both
             # sides; collapsing one member of a machine-width pair restores
@@ -668,25 +764,6 @@ def boxcar_integrals(res: ReservoirPair, B: BoxcarSet, abstol=1e-10, reltol=1e-8
     )
 
 
-def residual_prime(res: ReservoirPair, m: Multipliers, e: float):
-    """dR/d eps at a finite energy (scalar fast path).
-
-    Uses f' = -beta f(1-f) and 1 - 2f = tanh(x/2) for tail stability.
-    """
-    xL = res.beta_L * (e - res.mu_L)
-    xR = res.beta_R * (e - res.mu_R)
-    eL = math.exp(-abs(xL))
-    eR = math.exp(-abs(xR))
-    flL = eL / (1.0 + eL) ** 2
-    flR = eR / (1.0 + eR) ** 2
-    dfp = -res.beta_L * flL + res.beta_R * flR
-    gp = -res.beta_L * flL * math.tanh(xL / 2.0) - res.beta_R * flR * math.tanh(
-        xR / 2.0
-    )
-    df, _ = _df_g_scalar(res, e)
-    return gp - m.lam * df - (m.lam * e + m.eta) * dfp
-
-
 def multiplier_jacobian(
     res: ReservoirPair, m: Multipliers, B: BoxcarSet, derivative_floor=1e-8
 ):
@@ -706,7 +783,7 @@ def multiplier_jacobian(
         for e, is_left in ((a, True), (b, False)):
             if not math.isfinite(e):
                 continue
-            rp = residual_prime(res, m, e)
+            rp = _rprime_scalar(res, m.lam, m.eta, e)
             if abs(rp) < floor:
                 raise NearBifurcationError(
                     f"|R'({e})| = {abs(rp):.3e} below floor {floor:.3e}; "

@@ -143,8 +143,11 @@ def _match_eta(ev, lam, I_t, eta0, eta_step, atol_I, budget=400):
                     estimate=f(lo),
                 )
 
-    xtol = 1e-14 * (1.0 + abs(lo) + abs(hi))
-    eta = brentq(f, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=200)
+    # the tolerance is relative to the root: at large bias the root sits
+    # near 1e-11, far below any absolute tolerance on the O(1) bracket;
+    # 3e-14 is what the absolute tolerance 1e-14 (1 + |lo| + |hi|) gave
+    # around |eta| = 1
+    eta = brentq(f, lo, hi, xtol=1e-300, rtol=3e-14, maxiter=200, disp=False)
     if abs(f(eta)) > atol_I:
         # flat stretch: bisect on the sign, tracking the best point seen
         flo, fhi = f(lo), f(hi)
@@ -158,7 +161,7 @@ def _match_eta(ev, lam, I_t, eta0, eta_step, atol_I, budget=400):
                 hi, fhi = mid, fm
             else:
                 lo, flo = mid, fm
-            if hi - lo < xtol:
+            if hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
                 eta = mid
                 break
         else:
@@ -304,7 +307,7 @@ def solve_multipliers(
             ev, guess.lam, guess.eta, I_t, J_t, atol_I, atol_J, max_iter=15
         )
         if ok:
-            return _assemble(ev, res, lam, eta, I_t, J_t)
+            return _assemble(ev, res, lam, eta, I_t, J_t, atol_I, atol_J)
 
     eta_state = {"eta": guess.eta if guess is not None else 0.0}
     eta_step = 0.25 * (1.0 + abs(eta_state["eta"])) if guess is not None else s0
@@ -323,7 +326,7 @@ def solve_multipliers(
     g0 = G(0.0)
     if abs(g0) <= atol_J:
         lam_b, eta_b, _, _ = eta_state["at"]
-        return _assemble(ev, res, lam_b, eta_b, I_t, J_t)
+        return _assemble(ev, res, lam_b, eta_b, I_t, J_t, atol_I, atol_J)
 
     # bracket lam: J(lam, eta*(lam)) is nondecreasing; start from the guess
     # when it sits on the indicated side of zero
@@ -377,7 +380,7 @@ def solve_multipliers(
             lam_b, eta_b, B_b, I_b = eta_state["at"]
             best = (lam_b, eta_b)
             if abs(g_mid) <= atol_J:
-                return _assemble(ev, res, lam_b, eta_b, I_t, J_t)
+                return _assemble(ev, res, lam_b, eta_b, I_t, J_t, atol_I, atol_J)
             if g_mid > 0.0:
                 lam_hi, g_hi = lam_mid, g_mid
             else:
@@ -389,7 +392,7 @@ def solve_multipliers(
             ev, lam_b, eta_b, I_t, J_t, atol_I, atol_J
         )
         if ok:
-            return _assemble(ev, res, lam, eta, I_t, J_t)
+            return _assemble(ev, res, lam, eta, I_t, J_t, atol_I, atol_J)
         if lam_hi - lam_lo <= 1e-15 * (1.0 + abs(lam_lo) + abs(lam_hi)):
             break
         if ev.n_solves > 40000:
@@ -400,7 +403,7 @@ def solve_multipliers(
     eta_f, B_f, I_f = _match_eta(ev, lam_b, I_t, eta_b, s0, atol_I)
     J_f = ev.energy(B_f)
     if abs(J_f - J_t) <= atol_J:
-        return _assemble(ev, res, lam_b, eta_f, I_t, J_t)
+        return _assemble(ev, res, lam_b, eta_f, I_t, J_t, atol_I, atol_J)
     raise ConvergenceError(
         f"inverse solve exhausted its budget: residuals "
         f"|dI|={abs(I_f - I_t):.3e}, |dJ|={abs(J_f - J_t):.3e} at "
@@ -416,13 +419,15 @@ def solve_multipliers(
     )
 
 
-def _assemble(ev, res, lam, eta, I_t, J_t):
+def _assemble(ev, res, lam, eta, I_t, J_t, atol_I, atol_J):
+    """The solution at (lam, eta); raises ConvergenceError, with the
+    solution as its estimate, when it misses either current tolerance."""
     m = Multipliers(lam, eta)
     B = solve_boxcar(res, m, xtol=_XTOL_ROOT)
     I = boxcar_current(res, B)
     J = boxcar_energy_current(res, B, ev.quad_abstol, ev.quad_reltol)
     V = boxcar_variance(res, B, ev.quad_abstol, ev.quad_reltol)
-    return OptimalSolution(
+    sol = OptimalSolution(
         multipliers=m,
         boxcar=B,
         I=I,
@@ -430,6 +435,14 @@ def _assemble(ev, res, lam, eta, I_t, J_t):
         var_opt=V,
         residual_norm=max(abs(I - I_t), abs(J - J_t)),
     )
+    if abs(I - I_t) > atol_I or abs(J - J_t) > atol_J:
+        raise ConvergenceError(
+            f"inverse solve missed its tolerance: |dI|={abs(I - I_t):.3e} "
+            f"(atol {atol_I:.3e}), |dJ|={abs(J - J_t):.3e} (atol {atol_J:.3e}) "
+            f"at lam={lam}, eta={eta}",
+            estimate=sol,
+        )
+    return sol
 
 
 def optimal_variance(res: ReservoirPair, I, J, tol=1e-8, guess=None):

@@ -78,3 +78,14 @@ def random_interior_target(rng, res, margin=0.05):
     width = ex.J_max - ex.J_min
     J = rng.uniform(ex.J_min + margin * width, ex.J_max - margin * width)
     return float(I), float(J)
+
+
+def target_atols(res, I, J, tol=1e-8):
+    """The absolute tolerances (atol_I, atol_J) that solve_multipliers
+    derives from the relative tolerance `tol` at the target (I, J)."""
+    cb = current_bounds(res)
+    ex = j_extrema(res, I)
+    return (
+        tol * max(abs(I), 1e-2 * (cb.I_max - cb.I_min)),
+        tol * max(abs(J), 1e-2 * (ex.J_max - ex.J_min)),
+    )

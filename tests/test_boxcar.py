@@ -2,9 +2,11 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from turbox import (
     BoxcarSet,
@@ -15,6 +17,7 @@ from turbox import (
     boxcar_current,
     boxcar_integrals,
     current_bounds,
+    delta_f,
     epsilon_zero,
     g_noise,
     j_extrema,
@@ -23,7 +26,17 @@ from turbox import (
     solve_boxcar,
     solve_multipliers,
 )
-from conftest import random_reservoir
+from turbox.boxcar import (
+    _CORE_X,
+    _fields,
+    _find_tail_root,
+    _hull,
+    _rprime_scalar,
+    _tail_included,
+    _workspace,
+)
+from turbox.region import bifurcation_curves
+from conftest import random_reservoir, target_atols
 
 INF = math.inf
 
@@ -184,6 +197,143 @@ def test_tangency_guard_ignores_rounding_noise_in_rprime():
     assert abs(sol.I - I) <= atol_I
     assert abs(sol.J - J) <= atol_J
     assert sol.residual_norm <= max(atol_I, atol_J)
+
+
+def test_scan_brackets_keep_their_end_values():
+    # deep in the left tail (eps in [-45.066, -44.941]) the scan's R changes
+    # sign while the scalar formula gives -1.2e-35 and -3.6e-35 at the two
+    # nodes; brentq recomputing the ends raised a bare ValueError
+    res = ReservoirPair(1.0, 1.0, -1.0, 1.0)
+    I, J = -0.9957676517660873, 0.049263828512937424
+    sol = solve_multipliers(res, I, J)
+    atol_I, atol_J = target_atols(res, I, J)
+    assert abs(sol.I - I) <= atol_I
+    assert abs(sol.J - J) <= atol_J
+
+    # the tangency branch of the same equal-beta pair runs into such
+    # brackets at once
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = bifurcation_curves(ReservoirPair.from_temperatures(1, 1, -1, 1))
+    assert {r.tag for r in rows} == {"B_tan", "B_0"}
+    assert all(math.isfinite(r.I) and math.isfinite(r.J) for r in rows)
+
+
+def _random_pair(rng, max_ratio=300.0):
+    beta_L = 10.0 ** rng.uniform(-1.0, 0.5)
+    ratio = 10.0 ** rng.uniform(0.0, math.log10(max_ratio))
+    beta_R = beta_L * ratio if rng.random() < 0.5 else beta_L / ratio
+    mu_L, mu_R = rng.uniform(-2.0, 2.0, size=2)
+    return ReservoirPair(beta_L, beta_R, mu_L, mu_R)
+
+
+def test_fields_match_physics(rng):
+    # the fused kernel against the branchy reference fields, across the scan
+    # window, on pairs with beta ratios up to 300
+    for _ in range(100):
+        res = _random_pair(rng)
+        ws = _workspace(res)
+        x = np.linspace(ws.scan_lo, ws.scan_hi, 4001)
+        df, g, dfp, gp = _fields(res, x)
+        for v in (df, g, dfp, gp):
+            assert np.all(np.isfinite(v))
+        with np.errstate(over="ignore"):  # delta_f's mixed branch
+            df_ref = delta_f(res, x)
+            g_ref = g_noise(res, x)
+            h = 1e-6 / ws.beta_max
+            fd_df = (delta_f(res, x + h) - delta_f(res, x - h)) / (2.0 * h)
+            fd_g = (g_noise(res, x + h) - g_noise(res, x - h)) / (2.0 * h)
+        assert np.array_equal(np.sign(df), np.sign(df_ref))
+        big = np.abs(df_ref) > 1e-290
+        assert np.all(np.abs(df[big] - df_ref[big]) <= 1e-13 * np.abs(df_ref[big]))
+        assert np.all(np.abs(g - g_ref) <= 1e-13 * g_ref)
+        # derivatives on the beta g scale, over the rounding of the
+        # difference quotient itself
+        scale = ws.beta_max * g_ref
+        fd_noise = 4e-16 * (np.abs(df_ref) + g_ref) / h
+        assert np.all(np.abs(dfp - fd_df) <= 1e-6 * scale + fd_noise)
+        assert np.all(np.abs(gp - fd_g) <= 1e-6 * scale + fd_noise)
+
+
+def _tangent_multipliers(res, e):
+    """(lam, eta) with R(e) = R'(e) = 0: the line touches G = g / delta_f."""
+    df, g, dfp, gp = (float(v[0]) for v in _fields(res, np.array([e])))
+    G = g / df
+    lam = (gp - G * dfp) / df
+    return lam, G - lam * e
+
+
+def _reference_boxcar(res, m, x):
+    """Sign scan on the sorted energies x, with brentq on each sign change;
+    tails as in the solver."""
+    ws = _workspace(res)
+    r = residual(res, m, x)
+    roots = [
+        brentq(lambda e: residual(res, m, e), x[i], x[i + 1], xtol=1e-13)
+        for i in np.nonzero(np.sign(r[:-1]) * np.sign(r[1:]) < 0.0)[0]
+    ]
+    left_in = _tail_included(ws, m.lam, m.eta, -1)
+    right_in = _tail_included(ws, m.lam, m.eta, +1)
+    if left_in != (r[0] < 0.0):
+        roots.insert(0, _find_tail_root(ws, m.lam, m.eta, -1, x[0], r[0], 1e-12))
+    if right_in != (r[-1] < 0.0):
+        roots.append(_find_tail_root(ws, m.lam, m.eta, +1, x[-1], r[-1], 1e-12))
+    bounds = [-INF] + roots + [INF]
+    inside = left_in
+    out = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if inside:
+            out.append((a, b))
+        inside = not inside
+    return BoxcarSet(tuple(out))
+
+
+@pytest.mark.parametrize(
+    "res",
+    [
+        ReservoirPair.from_temperatures(1.0, 0.2, -1.0, 0.5),  # FIG2
+        ReservoirPair.from_temperatures(1.0, 0.2, 0.1, 0.6),  # FIG3G
+        ReservoirPair(4.0, 0.3, -0.5, 1.5),
+        ReservoirPair(1.3, 1.3, -0.7, 0.9),
+    ],
+    ids=["fig2", "fig3g", "unequal", "equal-beta"],
+)
+def test_tangency_fuzz(res, rng):
+    # multipliers just off a tangency of the line with G, in the core and in
+    # both tails: shifting eta by 1e-6..1e-2 relative either opens a dip
+    # narrower than the grid or lifts R clear of zero; lam = 0 cases put
+    # eta just off G at the same point
+    ws = _workspace(res)
+    # the reference scan is 64 times denser than the solver's grid
+    dense = np.linspace(ws.nodes[0], ws.nodes[-1], 64 * ws.nodes.size)
+    core_lo, core_hi = _hull(res, _CORE_X)
+    stars = np.concatenate([
+        rng.uniform(core_lo, core_hi, 6),
+        rng.uniform(ws.scan_lo, core_lo, 3),
+        rng.uniform(core_hi, ws.scan_hi, 3),
+    ])
+    for e in stars:
+        if abs(e - ws.eps0) < 0.2 / ws.beta_max:
+            continue  # G has its pole at eps0
+        lam, eta = _tangent_multipliers(res, e)
+        G = lam * e + eta
+        w = 0.25 / ws.beta_max
+        x = np.sort(np.concatenate([dense, np.linspace(e - w, e + w, 4001)]))
+        for rel in np.outer((-1.0, 1.0), (1e-6, 1e-4, 1e-2)).ravel():
+            for m in (
+                Multipliers(lam, eta + rel * max(abs(eta), 1e-3)),
+                Multipliers(0.0, G * (1.0 + rel)),
+            ):
+                B = solve_boxcar(res, m)
+                ref = _reference_boxcar(res, m, x)
+                assert B.signature() == ref.signature(), (e, m, B, ref)
+                for u, v in zip(B.finite_endpoints(), ref.finite_endpoints()):
+                    # where R is flat the rounding of R alone moves a root
+                    # by ~eps g / |R'|, for the solver and the reference
+                    # alike; past the underflow horizon both vanish
+                    slope = abs(_rprime_scalar(res, m.lam, m.eta, v))
+                    noise = 16.0 * 2.2e-16 * g_noise(res, v) / slope if slope else INF
+                    assert abs(u - v) <= 1e-9 + noise, (e, m, u, v)
 
 
 # ---------------------------------------------------------------------------

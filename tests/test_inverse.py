@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from turbox import (
+    ConvergenceError,
     FeasibilityError,
     Multipliers,
     ReservoirPair,
@@ -20,6 +21,7 @@ from conftest import (
     random_interior_target,
     random_reservoir,
     random_tabulated,
+    target_atols,
 )
 
 
@@ -73,6 +75,38 @@ def test_residual_norm_contract(fig2_res, rng):
         assert abs(sol.I - I) <= atol_I
         assert abs(sol.J - J) <= atol_J
         assert sol.residual_norm <= max(atol_I, atol_J)
+
+
+def test_lambda_zero_root_far_below_one():
+    # at large bias the lambda = 0 root eta is about -1e-11: an absolute eta
+    # tolerance stopped at the boxcar (-10.62, 10.62), with I = -21.25 and
+    # var_opt = 2.8e-13 instead of 1.6e-27
+    res = ReservoirPair(3.036793754497767, 3.036793754497767, -20.0, 20.0)
+    I, J = -0.1831, 0.0
+    sol = solve_multipliers(res, I, J)
+    atol_I, atol_J = target_atols(res, I, J)
+    assert abs(sol.I - I) <= atol_I
+    assert abs(sol.J - J) <= atol_J
+    assert sol.signature() == (1, False, False)
+    assert 0.0 < sol.var_opt < 1e-26
+
+
+def test_tolerance_met_or_raised():
+    # a small symmetric target on an equal-beta pair, which the solver used
+    # to return silently 30 times outside atol_I: the result must meet both
+    # tolerances, or the solve raises with the solution as its estimate
+    res = ReservoirPair(1.5, 1.5, -0.025, 0.025)
+    I, J = -1e-5, 0.0
+    atol_I, atol_J = target_atols(res, I, J)
+    try:
+        sol = solve_multipliers(res, I, J)
+    except ConvergenceError as err:
+        est = err.estimate
+        assert est.residual_norm == max(abs(est.I - I), abs(est.J - J))
+        assert abs(est.I - I) > atol_I or abs(est.J - J) > atol_J
+    else:
+        assert abs(sol.I - I) <= atol_I
+        assert abs(sol.J - J) <= atol_J
 
 
 def test_min_heat_boundary_compact_interval(fig2_res):
