@@ -30,8 +30,8 @@ import numpy as np
 
 from .boxcar import BoxcarSet, boxcar_integrals
 from .errors import FeasibilityError, FormulaMismatchError, SingularityError, ValidationError
-from .physics import ReservoirPair, delta_f_antideriv, fermi, g_noise, delta_f
-from .quadrature import gk15_batched
+from .physics import (ReservoirPair, delta_f, delta_f_antideriv, fermi,
+                      fermi_tail_antiderivs, g_noise)
 from .transport import ClosedFormTransmission
 
 __all__ = [
@@ -91,13 +91,17 @@ def dqd_transmission(Gamma, Omega, omega) -> ClosedFormTransmission:
     T(eps) = Gamma^2 Omega^2 / ((u^2 - Omega^2 - Gamma^2/4)^2 + Gamma^2 u^2)
     with u = eps - omega: the expanded squared modulus of the complex
     denominator.  Values lie in (0, 1]; the maximum reaches 1 exactly when
-    Omega^2 >= Gamma^2/4 (split resonances).
+    Omega^2 >= Gamma^2/4 (split resonances).  The peaks, at omega +-
+    sqrt(Omega^2 - Gamma^2/4) when split and at omega otherwise, are its
+    breakpoints, so that quadrature never steps over a narrow resonance.
     """
     if Gamma <= 0:
         raise ValidationError(f"Gamma must be positive, got {Gamma}")
     G2 = float(Gamma) ** 2
     O2 = float(Omega) ** 2
     c = O2 + G2 / 4.0
+    split = math.sqrt(max(O2 - G2 / 4.0, 0.0))
+    peaks = (omega - split, omega + split) if split > 0.0 else (float(omega),)
 
     def func(eps):
         u2 = (eps - omega) ** 2
@@ -107,6 +111,7 @@ def dqd_transmission(Gamma, Omega, omega) -> ClosedFormTransmission:
         name="dqd",
         params=(("Gamma", float(Gamma)), ("Omega", float(Omega)), ("omega", float(omega))),
         func=func,
+        breaks=peaks,
     )
 
 
@@ -120,7 +125,9 @@ def default_bias_grid(lo=0.05, mid=2.0, hi=40.0):
 def fano_sweep(Gamma, Omega, omega, beta, dmu_grid=None, tol=1e-8):
     """Bias sweep comparing the model Fano factor with the optimal one.
 
-    Equal temperatures, mu_R = -mu_L = dmu/2.  Each row carries the model
+    Equal temperatures, mu_R = -mu_L = dmu/2.  The optimum is solved at the
+    model's own currents (I, J); at omega = 0 the model's J vanishes by
+    symmetry, and the target is (I, 0) exactly.  Each row carries the model
     currents, both variances, and both Fano factors scaled by beta*dmu
     (the scale on which the classical precision bound reads 2).  Rows with
     vanishing current (dmu = 0) are omitted.
@@ -141,9 +148,9 @@ def fano_sweep(Gamma, Omega, omega, beta, dmu_grid=None, tol=1e-8):
         s = summary(T, res)
         if s.fano is None:
             continue
-        # J vanishes identically in this symmetric setup; solve at the
+        # a resonance centred at 0 carries no energy current; solve at the
         # symmetric target rather than chase quadrature noise
-        sol = solve_multipliers(res, s.I, 0.0, tol=tol)
+        sol = solve_multipliers(res, s.I, s.J if omega != 0.0 else 0.0, tol=tol)
         fano_opt = sol.var_opt / abs(s.I)
         rows.append(
             {
@@ -243,7 +250,7 @@ def fano_opt_symmetric(beta, dmu, a, check_tol=1e-6):
     closed = 2.0 * one_minus_sum / log_ratio
 
     B = BoxcarSet(((-a / 2.0, a / 2.0),))
-    I, _, V = boxcar_integrals(res, B, abstol=1e-13, reltol=1e-11)
+    I, _, V = boxcar_integrals(res, B)
     numeric = V / abs(I)
     if abs(closed - numeric) > check_tol * abs(numeric):
         raise FormulaMismatchError(
@@ -257,36 +264,26 @@ def fano_opt_symmetric(beta, dmu, a, check_tol=1e-6):
 def theta_moments(frame: LinearResponseFrame, B: BoxcarSet):
     """(theta0, theta1, theta2): moments of f(1-f) of the mean bath over B.
 
-    theta0 uses the exact antiderivative -f/beta; the higher moments use
-    batched Kronrod panels over the window where f(1-f) is representable.
+    All three are exact.  With F0, T1 and W the antiderivatives of f, eps*f
+    and f(1-f) on one side of mu (physics.fermi_tail_antiderivs), partial
+    integration gives those of the moments as W, eps W + side F0/beta and
+    eps^2 W + 2 side T1/beta, and each interval is split at mu so that
+    every difference is taken on one side's branch.
     """
     beta, mu = frame.beta, frame.mu
-    t0 = 0.0
+
+    def anti(e, side):
+        if math.isinf(e):
+            return 0.0, 0.0, 0.0
+        F0, T1, W = fermi_tail_antiderivs(beta, mu, e, side)
+        return W, e * W + side * F0 / beta, e * e * W + 2.0 * side * T1 / beta
+
+    theta = np.zeros(3)
     for a, b in B.intervals:
-        t0 += (fermi(beta, mu, a) - fermi(beta, mu, b)) / beta
-
-    lo_w = mu - 48.0 / beta
-    hi_w = mu + 48.0 / beta
-
-    def fluct(x):
-        xx = beta * (x - mu)
-        e = np.exp(-np.abs(xx))
-        return e / (1.0 + e) ** 2
-
-    t1 = 0.0
-    t2 = 0.0
-    for a, b in B.intervals:
-        aa = max(a, lo_w)
-        bb = min(b, hi_w)
-        if aa >= bb:
-            continue
-        n = max(1, int(math.ceil((bb - aa) * beta / 3.0)))
-        edges = np.linspace(aa, bb, n + 1)
-        v1, _ = gk15_batched(lambda x: x * fluct(x), edges[:-1], edges[1:])
-        v2, _ = gk15_batched(lambda x: x * x * fluct(x), edges[:-1], edges[1:])
-        t1 += v1
-        t2 += v2
-    return t0, t1, t2
+        c = min(max(mu, a), b)
+        theta += np.subtract(anti(c, -1.0), anti(a, -1.0))
+        theta += np.subtract(anti(b, 1.0), anti(c, 1.0))
+    return tuple(float(t) for t in theta)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ semi-infinite tails (tails are never decided by sampling at huge energies:
 the sign of R at infinity follows from comparing the line lam*eps + eta
 against the finite limits of g/delta_f and the tail sign of delta_f).
 
-Also provides exact/panel integrals over a boxcar set and the analytic
-Jacobian of (I, J) with respect to (eta, lam) from the implicit function
-theorem.
+Also provides the integrals I, J and var over a boxcar set, each exact
+from closed-form antiderivatives, and the analytic Jacobian of (I, J) with
+respect to (eta, lam) from the implicit function theorem.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ from .errors import NearBifurcationError, SolverError, ValidationError
 from .physics import (
     ReservoirPair,
     delta_f,
-    df_g_arrays,
     g_noise,
     g_ratio_limits,
+    interval_moments,
     tail_signs,
 )
-from .quadrature import adaptive_panels, gk15_batched
 
 __all__ = [
     "BoxcarSet",
@@ -688,80 +687,39 @@ def boxcar_current(res: ReservoirPair, B: BoxcarSet):
     return I
 
 
-def _interval_sum(res, B, integrand, abstol, reltol):
-    """Sum of panel integrals of `integrand` over the intervals of B,
-    truncated at the quadrature window (the clipped tails sit below the
-    absolute tolerance by construction of the window).
-
-    Fast path: one batched Kronrod pass over fixed panels narrow enough
-    (width 3 / beta_max) for the smooth exponential integrands; per-panel
-    adaptive refinement only when the embedded estimate misses tolerance.
-    """
-    ws = _workspace(res)
-    width = 3.0 / ws.beta_max
-    clipped = []
+def _moments(res, B):
+    """(J, var) over a boxcar set, from the exact antiderivatives."""
+    J = V = 0.0
     for a, b in B.intervals:
-        aa = max(a, ws.quad_lo)
-        bb = min(b, ws.quad_hi)
-        if aa < bb:
-            clipped.append((aa, bb))
-    if not clipped:
-        return 0.0
-
-    los = []
-    his = []
-    for aa, bb in clipped:
-        n = min(512, max(1, int(math.ceil((bb - aa) / width))))
-        edges = np.linspace(aa, bb, n + 1)
-        los.append(edges[:-1])
-        his.append(edges[1:])
-    lo = np.concatenate(los)
-    hi = np.concatenate(his)
-    total, err = gk15_batched(integrand, lo, hi)
-    if err <= max(abstol, reltol * abs(total)):
-        return total
-
-    total = 0.0
-    for aa, bb in clipped:
-        n = min(64, max(1, int(math.ceil((bb - aa) / (2 * width)))))
-        brk = np.linspace(aa, bb, n + 1)[1:-1]
-        v, _ = adaptive_panels(
-            integrand, aa, bb, abstol=abstol, reltol=reltol, breakpoints=brk
-        )
-        total += v
-    return total
+        j, v = interval_moments(res, a, b)
+        J += j
+        V += v
+    return J, V
 
 
-def boxcar_energy_current(res: ReservoirPair, B: BoxcarSet, abstol=1e-10, reltol=1e-8):
-    """Energy current over a boxcar set by panel quadrature."""
+def boxcar_energy_current(res: ReservoirPair, B: BoxcarSet):
+    """Energy current over a boxcar set, via the exact antiderivatives."""
     if B.is_empty:
         return 0.0
-    return _interval_sum(
-        res, B, lambda x: x * df_g_arrays(res, x)[0], abstol, reltol
-    )
+    return _moments(res, B)[0]
 
 
-def boxcar_variance(res: ReservoirPair, B: BoxcarSet, abstol=1e-10, reltol=1e-8):
-    """Variance over a boxcar set: sum of integrals of g (T^2 = T there)."""
+def boxcar_variance(res: ReservoirPair, B: BoxcarSet):
+    """Variance over a boxcar set: the exact integral of g (T^2 = T there)."""
     if B.is_empty:
         return 0.0
-    return _interval_sum(res, B, lambda x: df_g_arrays(res, x)[1], abstol, reltol)
+    return _moments(res, B)[1]
 
 
-def boxcar_integrals(res: ReservoirPair, B: BoxcarSet, abstol=1e-10, reltol=1e-8):
-    """(I, J, var) over a boxcar set.
-
-    I uses the exact antiderivative of delta_f (finite at both infinities);
-    J and var use adaptive panels per interval, truncated at the quadrature
-    window where the integrands have decayed below the absolute tolerance.
+def boxcar_integrals(res: ReservoirPair, B: BoxcarSet):
+    """(I, J, var) over a boxcar set, each a difference of exact
+    antiderivatives: of delta_f for I, and of eps*f and f(1-f) per bath for
+    J and var (see physics.interval_moments).  All three are finite on
+    semi-infinite intervals.
     """
     if B.is_empty:
         return 0.0, 0.0, 0.0
-    return (
-        boxcar_current(res, B),
-        boxcar_energy_current(res, B, abstol, reltol),
-        boxcar_variance(res, B, abstol, reltol),
-    )
+    return (boxcar_current(res, B), *_moments(res, B))
 
 
 def multiplier_jacobian(

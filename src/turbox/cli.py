@@ -72,7 +72,6 @@ def _build_parser():
 
     def add_common(sp):
         sp.add_argument("--tol", type=float, default=None, help="relative tolerance")
-        sp.add_argument("--seed", type=int, default=None, help="seed recorded in output")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
 
     sp = sub.add_parser("eval", help="transport summary for a transmission")
@@ -273,8 +272,6 @@ def _cmd_oracle(args):
             raise ValidationError(f"bad --window {args.window!r}, expected lo,hi") from None
         window = (lo, hi)
     report = verify(res, args.I, args.J, N=args.N, window=window, tol=tol)
-    if args.seed is not None:
-        report["seed"] = args.seed
     code = EXIT_ORACLE_FAIL if report["verdict"] == "FAIL" else None
     return to_json_text(report), code
 

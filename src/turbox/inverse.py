@@ -82,23 +82,15 @@ class OptimalSolution:
 
 
 class _Evaluator:
-    """Caches forward evaluations for one (reservoir, target) solve."""
+    """Forward solves for one (reservoir, target) solve, counted."""
 
-    def __init__(self, res, quad_abstol, quad_reltol):
+    def __init__(self, res):
         self.res = res
-        self.quad_abstol = quad_abstol
-        self.quad_reltol = quad_reltol
         self.n_solves = 0
 
     def box(self, lam, eta):
         self.n_solves += 1
         return solve_boxcar(self.res, Multipliers(lam, eta), xtol=_XTOL_ROOT)
-
-    def current(self, B):
-        return boxcar_current(self.res, B)
-
-    def energy(self, B):
-        return boxcar_energy_current(self.res, B, self.quad_abstol, self.quad_reltol)
 
 
 def _match_eta(ev, lam, I_t, eta0, eta_step, atol_I, budget=400):
@@ -114,7 +106,7 @@ def _match_eta(ev, lam, I_t, eta0, eta_step, atol_I, budget=400):
     def f(eta):
         if eta not in cache:
             B = ev.box(lam, eta)
-            cache[eta] = (ev.current(B) - I_t, B)
+            cache[eta] = (boxcar_current(ev.res, B) - I_t, B)
         return cache[eta][0]
 
     d = eta_step
@@ -182,8 +174,8 @@ def _newton_polish(ev, lam, eta, I_t, J_t, atol_I, atol_J, max_iter=50,
     reports non-convergence so the caller can fall back to bracketing.
     """
     B = ev.box(lam, eta)
-    I = ev.current(B)
-    J = ev.energy(B)
+    I = boxcar_current(ev.res, B)
+    J = boxcar_energy_current(ev.res, B)
 
     def resnorm(I, J):
         return max(abs(I - I_t) / atol_I, abs(J - J_t) / atol_J)
@@ -201,7 +193,8 @@ def _newton_polish(ev, lam, eta, I_t, J_t, atol_I, atol_J, max_iter=50,
             eta_n = eta + nudge
             lam_n = lam + 1e-9 * (1.0 + abs(lam))
             B_n = ev.box(lam_n, eta_n)
-            I_n, J_n = ev.current(B_n), ev.energy(B_n)
+            I_n = boxcar_current(ev.res, B_n)
+            J_n = boxcar_energy_current(ev.res, B_n)
             if resnorm(I_n, J_n) > 4.0 * r:
                 return lam, eta, B, I, J, False
             lam, eta, B, I, J = lam_n, eta_n, B_n, I_n, J_n
@@ -222,10 +215,10 @@ def _newton_polish(ev, lam, eta, I_t, J_t, atol_I, atol_J, max_iter=50,
             except SolverError:
                 continue
             # cheap reject on the exact current before paying for J
-            I_n = ev.current(B_n)
+            I_n = boxcar_current(ev.res, B_n)
             if abs(I_n - I_t) / atol_I > max(r, 1.0) * 4.0:
                 continue
-            J_n = ev.energy(B_n)
+            J_n = boxcar_energy_current(ev.res, B_n)
             r_n = resnorm(I_n, J_n)
             if r_n < r:
                 lam, eta, B, I, J, r = lam_n, eta_n, B_n, I_n, J_n, r_n
@@ -290,9 +283,7 @@ def solve_multipliers(
             )
         J_t = min(max(J_t, ex.J_min + inset_J), ex.J_max - inset_J)
 
-    quad_abstol = min(1e-10, 0.05 * atol_J) if atol_J > 0 else 1e-12
-    quad_abstol = max(quad_abstol, 1e-13)
-    ev = _Evaluator(res, quad_abstol, 1e-9)
+    ev = _Evaluator(res)
 
     s0 = max(
         res.beta_L,
@@ -307,7 +298,7 @@ def solve_multipliers(
             ev, guess.lam, guess.eta, I_t, J_t, atol_I, atol_J, max_iter=15
         )
         if ok:
-            return _assemble(ev, res, lam, eta, I_t, J_t, atol_I, atol_J)
+            return _assemble(res, lam, eta, I_t, J_t, atol_I, atol_J)
 
     eta_state = {"eta": guess.eta if guess is not None else 0.0}
     eta_step = 0.25 * (1.0 + abs(eta_state["eta"])) if guess is not None else s0
@@ -318,7 +309,7 @@ def solve_multipliers(
         )
         eta_state["eta"] = eta
         eta_state["at"] = (lam, eta, B, I)
-        return ev.energy(B) - J_t
+        return boxcar_energy_current(res, B) - J_t
 
     # lam = 0 is the B_0 bifurcation: symmetric targets sit exactly on it,
     # and a lam of +-epsilon would drag in a zero-measure tail root, so try
@@ -326,7 +317,7 @@ def solve_multipliers(
     g0 = G(0.0)
     if abs(g0) <= atol_J:
         lam_b, eta_b, _, _ = eta_state["at"]
-        return _assemble(ev, res, lam_b, eta_b, I_t, J_t, atol_I, atol_J)
+        return _assemble(res, lam_b, eta_b, I_t, J_t, atol_I, atol_J)
 
     # bracket lam: J(lam, eta*(lam)) is nondecreasing; start from the guess
     # when it sits on the indicated side of zero
@@ -380,20 +371,22 @@ def solve_multipliers(
             lam_b, eta_b, B_b, I_b = eta_state["at"]
             best = (lam_b, eta_b)
             if abs(g_mid) <= atol_J:
-                return _assemble(ev, res, lam_b, eta_b, I_t, J_t, atol_I, atol_J)
+                return _assemble(res, lam_b, eta_b, I_t, J_t, atol_I, atol_J)
             if g_mid > 0.0:
                 lam_hi, g_hi = lam_mid, g_mid
             else:
                 lam_lo, g_lo = lam_mid, g_mid
-            if lam_hi - lam_lo <= 1e-15 * (1.0 + abs(lam_lo) + abs(lam_hi)):
+            # relative to the root, as in _match_eta: at large bias lam is
+            # far below 1e-15 and an absolute width stops short of it
+            if lam_hi - lam_lo <= 4.0 * math.ulp(max(abs(lam_lo), abs(lam_hi))):
                 break
         lam_b, eta_b = best
         lam, eta, B, I, J, ok = _newton_polish(
             ev, lam_b, eta_b, I_t, J_t, atol_I, atol_J
         )
         if ok:
-            return _assemble(ev, res, lam, eta, I_t, J_t, atol_I, atol_J)
-        if lam_hi - lam_lo <= 1e-15 * (1.0 + abs(lam_lo) + abs(lam_hi)):
+            return _assemble(res, lam, eta, I_t, J_t, atol_I, atol_J)
+        if lam_hi - lam_lo <= 4.0 * math.ulp(max(abs(lam_lo), abs(lam_hi))):
             break
         if ev.n_solves > 40000:
             break
@@ -401,9 +394,9 @@ def solve_multipliers(
     # last resort: report the best iterate
     lam_b, eta_b = best if best is not None else (0.0, eta_state["eta"])
     eta_f, B_f, I_f = _match_eta(ev, lam_b, I_t, eta_b, s0, atol_I)
-    J_f = ev.energy(B_f)
+    J_f = boxcar_energy_current(res, B_f)
     if abs(J_f - J_t) <= atol_J:
-        return _assemble(ev, res, lam_b, eta_f, I_t, J_t, atol_I, atol_J)
+        return _assemble(res, lam_b, eta_f, I_t, J_t, atol_I, atol_J)
     raise ConvergenceError(
         f"inverse solve exhausted its budget: residuals "
         f"|dI|={abs(I_f - I_t):.3e}, |dJ|={abs(J_f - J_t):.3e} at "
@@ -419,14 +412,14 @@ def solve_multipliers(
     )
 
 
-def _assemble(ev, res, lam, eta, I_t, J_t, atol_I, atol_J):
+def _assemble(res, lam, eta, I_t, J_t, atol_I, atol_J):
     """The solution at (lam, eta); raises ConvergenceError, with the
     solution as its estimate, when it misses either current tolerance."""
     m = Multipliers(lam, eta)
     B = solve_boxcar(res, m, xtol=_XTOL_ROOT)
     I = boxcar_current(res, B)
-    J = boxcar_energy_current(res, B, ev.quad_abstol, ev.quad_reltol)
-    V = boxcar_variance(res, B, ev.quad_abstol, ev.quad_reltol)
+    J = boxcar_energy_current(res, B)
+    V = boxcar_variance(res, B)
     sol = OptimalSolution(
         multipliers=m,
         boxcar=B,

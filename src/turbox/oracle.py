@@ -30,7 +30,7 @@ import numpy as np
 from scipy.optimize import brentq, linprog
 
 from .errors import FeasibilityError, ValidationError
-from .physics import ReservoirPair, delta_f_antideriv, df_g_arrays, fermi
+from .physics import ReservoirPair, delta_f_antideriv, df_g_arrays, fermi, interval_moments
 from .quadrature import gk15_per_panel
 
 __all__ = [
@@ -112,8 +112,10 @@ def mass_window(res: ReservoirPair, frac=1e-8):
 
 
 def discretize(res: ReservoirPair, window, N) -> GridCells:
-    """Uniform cells over `window` with quadrature-evaluated A, C, D and the
-    exact antiderivative for B."""
+    """Uniform cells over `window`.  A, B and C are differences of exact
+    antiderivatives over the cell edges (physics.interval_moments for A and
+    C, delta_f_antideriv for B); D, which has none, is summed by Kronrod
+    panels."""
     lo, hi = float(window[0]), float(window[1])
     if lo > hi:
         raise ValidationError(f"window must satisfy lo <= hi, got ({lo}, {hi})")
@@ -138,12 +140,9 @@ def discretize(res: ReservoirPair, window, N) -> GridCells:
     )
     phi = plo + width / sub
 
-    kA, _ = gk15_per_panel(lambda x: df_g_arrays(res, x)[1], plo, phi)
-    kC, _ = gk15_per_panel(lambda x: x * df_g_arrays(res, x)[0], plo, phi)
     kD, _ = gk15_per_panel(lambda x: df_g_arrays(res, x)[0] ** 2, plo, phi)
-    A = kA.reshape(N, sub).sum(axis=1)
-    C = kC.reshape(N, sub).sum(axis=1)
     D = kD.reshape(N, sub).sum(axis=1)
+    C, A = np.array([interval_moments(res, a, b) for a, b in zip(edges, edges[1:])]).T
     anti = np.asarray(delta_f_antideriv(res, edges))
     B = np.diff(anti)
     return GridCells(

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import spence
 
 from .errors import SingularityError, ValidationError
 
@@ -31,6 +32,8 @@ __all__ = [
     "fermi_antideriv",
     "delta_f",
     "delta_f_antideriv",
+    "fermi_tail_antiderivs",
+    "interval_moments",
     "g_noise",
     "epsilon_zero",
     "g_ratio",
@@ -212,6 +215,65 @@ def delta_f_antideriv(res: ReservoirPair, eps):
     out[e_arr == np.inf] = 0.0
     out[e_arr == -np.inf] = res.mu_R - res.mu_L
     return float(out) if scalar else out
+
+
+def _li2_neg(t):
+    """Li2(-t) for 0 <= t <= 1, with full relative accuracy.
+
+    scipy's spence(z) is Li2(1 - z), but z = 1 + t rounds t to t' = z - 1,
+    which loses small t entirely, so the rounding is put back to first
+    order: Li2(-t) = Li2(-t') - (t - t') ln(1 + t)/t, with ln(1 + t)/t
+    taken as 1 - t/2 (the neglected terms are below 1e-16 of t - t')."""
+    z = 1.0 + t
+    return float(spence(z)) - (t - (z - 1.0)) * (1.0 - 0.5 * t)
+
+
+def fermi_tail_antiderivs(beta, mu, eps, side):
+    """Antiderivatives of f, eps*f and f(1 - f) above mu (side +1), and of
+    1 - f, eps*(1 - f) and f(1 - f) below it (side -1), at one energy, each
+    vanishing at that side's infinity.  With t = exp(-|beta (eps - mu)|)
+    they are
+
+        -side ln(1 + t)/beta,  -side (eps/beta) ln(1 + t) + Li2(-t)/beta^2,
+        -side min(f, 1 - f)/beta
+
+    The dilogarithm inversion formula continues the eps*f branch below mu
+    as (eps^2 - mu^2)/2 - pi^2/(6 beta^2) minus the eps*(1 - f) one.  All
+    are finite at both infinities and formed from t alone, so a difference
+    on one branch keeps full relative accuracy deep in that tail.
+    """
+    if math.isinf(eps):
+        return 0.0, 0.0, 0.0
+    t = math.exp(-beta * abs(eps - mu))
+    log_t = math.log1p(t) / beta
+    return (
+        -side * log_t,
+        -side * eps * log_t + _li2_neg(t) / (beta * beta),
+        -side * t / ((1.0 + t) * beta),
+    )
+
+
+def interval_moments(res: ReservoirPair, a, b):
+    """Exact (integral of eps*delta_f, integral of g) over [a, b].
+
+    The ends may be infinite.  For each bath the interval is split at its
+    mu, c = mu clipped into [a, b], so that the pieces [a, c] and [c, b]
+    each lie on one side, and the integrals are differences of
+    fermi_tail_antiderivs on that side's branch.  Below mu, eps*f is eps
+    less eps*(1 - f); the two baths' (c^2 - a^2)/2 leave (c_L^2 - c_R^2)/2,
+    which vanishes in both tails and is added last.
+    """
+    J = V = c2 = 0.0
+    for beta, mu, sgn in ((res.beta_L, res.mu_L, 1.0), (res.beta_R, res.mu_R, -1.0)):
+        c = min(max(mu, a), b)
+        _, Ta, Wa = fermi_tail_antiderivs(beta, mu, a, -1.0)
+        _, Tc_lo, Wc_lo = fermi_tail_antiderivs(beta, mu, c, -1.0)
+        _, Tc_hi, Wc_hi = fermi_tail_antiderivs(beta, mu, c, 1.0)
+        _, Tb, Wb = fermi_tail_antiderivs(beta, mu, b, 1.0)
+        J += sgn * ((Tb - Tc_hi) - (Tc_lo - Ta))
+        V += (Wb - Wc_hi) + (Wc_lo - Wa)
+        c2 += sgn * c * c
+    return J + 0.5 * c2, V
 
 
 def g_noise(res: ReservoirPair, eps):

@@ -76,27 +76,9 @@ def gk15(f, a, b):
     return k, abs(k - g)
 
 
-def gk15_batched(f, lo, hi):
-    """Kronrod-15 on many panels with a single integrand evaluation.
-
-    lo, hi are equal-length arrays of panel bounds.  Returns (sum of K15
-    values, sum of per-panel |K15 - G7|).  Used as the fast path for
-    smooth exponentially decaying integrands; callers fall back to
-    `adaptive_panels` when the error estimate misses tolerance.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    h = 0.5 * (hi - lo)
-    c = 0.5 * (hi + lo)
-    x = c[:, None] + h[:, None] * _NODES[None, :]
-    y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    k = h * (y @ _WEIGHTS_K)
-    g = h * (y @ _WEIGHTS_G)
-    return float(k.sum()), float(np.abs(k - g).sum())
-
-
 def gk15_per_panel(f, lo, hi):
-    """Like gk15_batched but returns the per-panel values and estimates."""
+    """Kronrod-15 on the panels [lo_k, hi_k] with a single integrand
+    evaluation: the per-panel K15 values and their |K15 - G7| estimates."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     h = 0.5 * (hi - lo)

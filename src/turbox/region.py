@@ -181,7 +181,7 @@ def _complement_set(e0, t):
     return BoxcarSet(tuple(pieces))
 
 
-def j_extrema(res: ReservoirPair, I, abstol=1e-11, reltol=1e-9) -> JExtrema:
+def j_extrema(res: ReservoirPair, I) -> JExtrema:
     """J_min(I) and J_max(I) with their defining boxcars and variances.
 
     One extremum is the compact boxcar between eps0 and eps1 (eps1 found by
@@ -201,10 +201,10 @@ def j_extrema(res: ReservoirPair, I, abstol=1e-11, reltol=1e-9) -> JExtrema:
         t_l = _half_line_threshold(res, I, -1)
         B_r = BoxcarSet(((t_r, INF),))
         B_l = BoxcarSet(((-INF, t_l),))
-        J_r = boxcar_energy_current(res, B_r, abstol, reltol)
-        J_l = boxcar_energy_current(res, B_l, abstol, reltol)
-        V_r = boxcar_variance(res, B_r, abstol, reltol)
-        V_l = boxcar_variance(res, B_l, abstol, reltol)
+        J_r = boxcar_energy_current(res, B_r)
+        J_l = boxcar_energy_current(res, B_l)
+        V_r = boxcar_variance(res, B_r)
+        V_l = boxcar_variance(res, B_l)
         if J_l <= J_r:
             return JExtrema(J_l, J_r, t_l, B_l, B_r, V_l, V_r)
         return JExtrema(J_r, J_l, t_r, B_r, B_l, V_r, V_l)
@@ -215,10 +215,10 @@ def j_extrema(res: ReservoirPair, I, abstol=1e-11, reltol=1e-9) -> JExtrema:
     # the remaining full-line current delta_mu - I
     t_p = _solve_compact_endpoint(res, res.delta_mu - I, e0, cb.I_min, cb.I_max)
     B_p = _complement_set(e0, t_p)
-    J_c = boxcar_energy_current(res, B_c, abstol, reltol)
-    J_p = boxcar_energy_current(res, B_p, abstol, reltol)
-    V_c = boxcar_variance(res, B_c, abstol, reltol)
-    V_p = boxcar_variance(res, B_p, abstol, reltol)
+    J_c = boxcar_energy_current(res, B_c)
+    J_p = boxcar_energy_current(res, B_p)
+    V_c = boxcar_variance(res, B_c)
+    V_p = boxcar_variance(res, B_p)
     if J_c <= J_p:
         return JExtrema(J_c, J_p, t, B_c, B_p, V_c, V_p)
     return JExtrema(J_p, J_c, t, B_p, B_c, V_p, V_c)
@@ -401,8 +401,10 @@ def compute_region_map(
     topology grid clipped to the feasible set.
 
     The topology grid marches column-by-column with warm-started inverse
-    solves; a note records the largest interval count observed (counts
-    above 3 are reported as an observation, never rejected).
+    solves: each target starts from the solution below it, and each
+    column's bottom from the previous column's bottom.  A note records the
+    largest interval count observed (counts above 3 are reported as an
+    observation, never rejected).
     """
     from .inverse import solve_multipliers
 
@@ -434,6 +436,7 @@ def compute_region_map(
             continue
         inset = boundary_inset * width
         col_guess = guess
+        bottom = None
         for J in np.linspace(ex.J_min + inset, ex.J_max - inset, n_j):
             try:
                 sol = solve_multipliers(res, float(I), float(J), tol=tol,
@@ -441,12 +444,14 @@ def compute_region_map(
             except (FeasibilityError, SolverError):
                 continue
             col_guess = sol.multipliers
-            if guess is None:
-                guess = sol.multipliers
+            if bottom is None:
+                bottom = sol.multipliers
             count, li, ri = sol.boxcar.signature()
             max_count = max(max_count, count)
             topology.append((float(I), float(J), count, li, ri))
-        guess = col_guess
+        # the next column starts at its bottom, next to this column's bottom
+        if bottom is not None:
+            guess = bottom
 
     notes = {"max_interval_count": max_count}
     if max_count > 3:

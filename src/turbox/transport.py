@@ -108,18 +108,21 @@ class TabulatedTransmission(Transmission):
 
 @dataclass(frozen=True)
 class ClosedFormTransmission(Transmission):
-    """Named formula with parameters; `func` maps energy arrays to values."""
+    """Named formula with parameters; `func` maps energy arrays to values,
+    and `breaks` holds the energies (narrow peaks, kinks) that quadrature
+    must not step over."""
 
     name: str
     params: tuple
     func: Callable
+    breaks: tuple = ()
 
     def __call__(self, eps):
         out = np.asarray(self.func(np.asarray(eps, dtype=float)), dtype=float)
         return float(out) if np.ndim(eps) == 0 else out
 
     def breakpoints(self):
-        return ()
+        return self.breaks
 
 
 def load_transmission_csv(path) -> TabulatedTransmission:

@@ -205,7 +205,7 @@ def test_criterion_4_jacobian_monotonicity():
 
         def IJ(lam, eta):
             bb = solve_boxcar(res, Multipliers(lam, eta))
-            I, J, _ = boxcar_integrals(res, bb, abstol=1e-12, reltol=1e-11)
+            I, J, _ = boxcar_integrals(res, bb)
             return np.array([I, J])
 
         fd = np.column_stack([

@@ -106,9 +106,7 @@ def test_fano_opt_matches_integrals(rng):
         a = float(rng.uniform(0.05, 8.0))
         F = fano_opt_symmetric(beta, dmu, a)
         res = _symmetric_reservoirs(beta, dmu)
-        I, _, V = boxcar_integrals(
-            res, BoxcarSet(((-a / 2.0, a / 2.0),)), abstol=1e-13, reltol=1e-12
-        )
+        I, _, V = boxcar_integrals(res, BoxcarSet(((-a / 2.0, a / 2.0),)))
         assert F == pytest.approx(V / abs(I), rel=1e-9)
 
 

@@ -404,7 +404,7 @@ def _random_regular_case(rng):
 def _fd_jacobian(res, m, h_eta, h_lam):
     def IJ(lam, eta):
         B = solve_boxcar(res, Multipliers(lam, eta))
-        I, J, _ = boxcar_integrals(res, B, abstol=1e-12, reltol=1e-11)
+        I, J, _ = boxcar_integrals(res, B)
         return np.array([I, J])
 
     col_eta = (IJ(m.lam, m.eta + h_eta) - IJ(m.lam, m.eta - h_eta)) / (2 * h_eta)

@@ -127,13 +127,13 @@ def test_oracle_report_and_seed(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, _, _ = run_cli(
         ["oracle", *RES_FLAGS, "--I", "-0.2", "--J", "0.3", "--N", "8",
-         "--seed", "7", "--out", str(out_file)],
+         "--out", str(out_file)],
         capsys,
     )
     assert code == 0
     rep = json.loads(out_file.read_text())
     assert rep["verdict"] == "PASS"
-    assert rep["seed"] == 7
+    assert "seed" not in rep  # the --seed option, which only echoed here, is gone
     assert rep["N"] == 8
 
 
