@@ -729,9 +729,10 @@ def multiplier_jacobian(
 
     Implicit-function-theorem endpoint weights: xi_k = delta_f(a_k)^2 /
     R'(a_k) at left endpoints, theta_k = delta_f(b_k)^2 / R'(b_k) at right
-    endpoints; infinite endpoints contribute zero.  Requires every finite
-    endpoint root to be simple: |R'| below the floor raises
-    NearBifurcationError (the caller should perturb the multipliers).
+    endpoints; infinite endpoints, and finite ones where delta_f underflows
+    to zero, contribute zero.  Requires every other finite endpoint root to
+    be simple: |R'| below the floor raises NearBifurcationError (the caller
+    should perturb the multipliers).
     """
     dI_deta = 0.0
     dI_dlam = 0.0
@@ -741,13 +742,15 @@ def multiplier_jacobian(
         for e, is_left in ((a, True), (b, False)):
             if not math.isfinite(e):
                 continue
+            df, _ = _df_g_scalar(res, e)
+            if df == 0.0:
+                continue  # a root where delta_f underflows carries no weight
             rp = _rprime_scalar(res, m.lam, m.eta, e)
             if abs(rp) < floor:
                 raise NearBifurcationError(
                     f"|R'({e})| = {abs(rp):.3e} below floor {floor:.3e}; "
                     "multipliers are too close to a bifurcation"
                 )
-            df, _ = _df_g_scalar(res, e)
             w = df * df / rp
             if is_left:
                 dI_deta -= w

@@ -123,17 +123,22 @@ def adaptive_panels(
         heapq.heappush(heap, (-e, count, lo, hi, v))
         count += 1
 
+    # running error total; on apparent convergence it is re-summed exactly,
+    # so rounding drift can cost one extra split but never an early stop
+    err = -sum(item[0] for item in heap)
     while True:
-        err = -sum(item[0] for item in heap)
         if err <= max(abstol, reltol * abs(total)):
-            return total, err
+            err = -sum(item[0] for item in heap)
+            if err <= max(abstol, reltol * abs(total)):
+                return total, err
         if count >= max_panels:
             raise ConvergenceError(
                 f"quadrature did not converge: error estimate {err:.3e} "
                 f"after {count} panels on [{a}, {b}]",
                 estimate=err,
             )
-        _, _, lo, hi, v = heapq.heappop(heap)
+        neg_e, _, lo, hi, v = heapq.heappop(heap)
+        err += neg_e
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             # panel at floating-point resolution; keep its estimate and stop
@@ -144,6 +149,7 @@ def adaptive_panels(
         v1, e1 = gk15(f, lo, mid)
         v2, e2 = gk15(f, mid, hi)
         total += v1 + v2 - v
+        err += e1 + e2
         heapq.heappush(heap, (-e1, count, lo, mid, v1))
         count += 1
         heapq.heappush(heap, (-e2, count, mid, hi, v2))

@@ -33,7 +33,7 @@ from .boxcar import (
     solve_boxcar,
     _workspace,
 )
-from .errors import FeasibilityError, SolverError, ValidationError
+from .errors import ConvergenceError, FeasibilityError, SolverError, ValidationError
 from .physics import ReservoirPair, delta_f_antideriv, epsilon_zero, g_ratio, g_ratio_limits
 
 __all__ = [
@@ -404,7 +404,8 @@ def compute_region_map(
     solves: each target starts from the solution below it, and each
     column's bottom from the previous column's bottom.  A note records the
     largest interval count observed (counts above 3 are reported as an
-    observation, never rejected).
+    observation, never rejected).  A target whose solve fails is left out
+    of the grid, and `notes["skipped_targets"]` counts them when any are.
     """
     from .inverse import solve_multipliers
 
@@ -428,6 +429,7 @@ def compute_region_map(
     i_topo = np.linspace(cb.I_min + edge, cb.I_max - edge, n_i)
     topology = []
     max_count = 0
+    skipped = 0
     guess = None
     for I in i_topo:
         ex = extrema.get(float(I)) or j_extrema(res, float(I))
@@ -441,7 +443,8 @@ def compute_region_map(
             try:
                 sol = solve_multipliers(res, float(I), float(J), tol=tol,
                                         guess=col_guess)
-            except (FeasibilityError, SolverError):
+            except (FeasibilityError, SolverError, ConvergenceError):
+                skipped += 1
                 continue
             col_guess = sol.multipliers
             if bottom is None:
@@ -456,6 +459,8 @@ def compute_region_map(
     notes = {"max_interval_count": max_count}
     if max_count > 3:
         notes["more_than_three_intervals"] = True
+    if skipped:
+        notes["skipped_targets"] = skipped
     return RegionMap(
         i_range=(cb.I_min, cb.I_max),
         boundary=boundary,

@@ -103,7 +103,8 @@ class TabulatedTransmission(Transmission):
         return float(out) if np.ndim(eps) == 0 else out
 
     def breakpoints(self):
-        return (self.energies[0], self.energies[-1])
+        # every knot is a kink: quadrature must not step over a narrow peak
+        return tuple(self.energies)
 
 
 @dataclass(frozen=True)

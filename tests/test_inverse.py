@@ -11,12 +11,16 @@ from turbox import (
     boxcar_integrals,
     currents,
     current_bounds,
+    dqd_transmission,
     j_extrema,
     optimal_variance,
     solve_boxcar,
     solve_multipliers,
+    summary,
     variance,
 )
+from turbox import inverse
+from turbox.analysis import default_bias_grid
 from conftest import (
     random_interior_target,
     random_reservoir,
@@ -217,3 +221,59 @@ def test_identical_reservoirs_only_origin():
     assert sol.var_opt == 0.0
     with pytest.raises(FeasibilityError):
         solve_multipliers(res, 0.1, 0.0)
+
+
+# regimes that tripped nested and joint Newton solvers (FIG3G unless named)
+FIG3G = ReservoirPair.from_temperatures(1.0, 0.2, 0.1, 0.6)
+
+
+def _assert_meets_tolerances(res, I, J, guess=None):
+    sol = solve_multipliers(res, I, J, guess=guess)
+    atol_I, atol_J = target_atols(res, I, J)
+    assert abs(sol.I - I) <= atol_I
+    assert abs(sol.J - J) <= atol_J
+
+
+def test_warm_start_across_lambda_zero():
+    # the guess has lam < 0 and the answer lam > 0
+    _assert_meets_tolerances(
+        FIG3G, -0.7397390025974401, 0.7225843162565144,
+        guess=Multipliers(-0.0037771473863501223, -1.0101199083865997),
+    )
+
+
+def test_far_warm_start_on_flat_j():
+    # J(lam) is nearly flat near J_min(I): a far guess must still come home
+    _assert_meets_tolerances(
+        FIG3G, -0.7637963571109986, 0.42800321017152476,
+        guess=Multipliers(-37.5629976131514, -336.9035990902467),
+    )
+
+
+@pytest.mark.parametrize("k", [46, 52, 62])  # dmu ~ 4.79, 10.13, 35.31
+def test_large_bias_fano_targets(k):
+    # at large bias the optimum's lam is ~1e-17 and g ~ e^(-beta dmu / 2)
+    dmu = float(default_bias_grid()[k])
+    res = ReservoirPair(2.0, 2.0, -dmu / 2.0, dmu / 2.0)
+    s = summary(dqd_transmission(0.1, 0.05, 0.5), res)
+    _assert_meets_tolerances(res, s.I, s.J)
+
+
+def test_forward_solve_count(fig2_res, monkeypatch):
+    # a machine-independent regression check on the cost of cold solves
+    # (measured: median 31.5, worst 53 forward solves)
+    counts = []
+    real = inverse.solve_boxcar
+
+    def counted(*args, **kwargs):
+        counts[-1] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(inverse, "solve_boxcar", counted)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        I, J = random_interior_target(rng, fig2_res, margin=0.02)
+        counts.append(0)
+        _assert_meets_tolerances(fig2_res, I, J)
+    assert np.median(counts) <= 40
+    assert max(counts) <= 80

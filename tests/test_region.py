@@ -7,6 +7,7 @@ import pytest
 
 from turbox import (
     BoxcarSet,
+    ConvergenceError,
     FeasibilityError,
     Multipliers,
     ReservoirPair,
@@ -19,6 +20,8 @@ from turbox import (
     solve_boxcar,
     solve_multipliers,
 )
+from turbox import inverse
+
 INF = math.inf
 
 FIG3G = ReservoirPair.from_temperatures(1.0, 0.2, 0.1, 0.6)
@@ -312,3 +315,24 @@ def test_region_map_export(tmp_path):
 
     bundle = json.loads((out / "region.json").read_text())
     assert set(bundle) == {"i_range", "boundary", "bifurcations", "topology", "notes"}
+
+
+def test_region_map_skips_unconverged_targets(monkeypatch):
+    # a target whose inverse solve misses its tolerance is left out and
+    # counted; the note is absent when nothing is skipped
+    args = dict(n_boundary=4, n_topology=(3, 4))
+    clean = compute_region_map(FIG3G, **args)
+    assert "skipped_targets" not in clean.notes
+    real = inverse.solve_multipliers
+    calls = []
+
+    def fails_once(*a, **kw):
+        calls.append(None)
+        if len(calls) == 2:
+            raise ConvergenceError("missed", estimate=None)
+        return real(*a, **kw)
+
+    monkeypatch.setattr(inverse, "solve_multipliers", fails_once)
+    rm = compute_region_map(FIG3G, **args)
+    assert rm.notes["skipped_targets"] == 1
+    assert len(rm.topology) == len(clean.topology) - 1

@@ -163,6 +163,19 @@ def test_tabulated_validation():
     assert T(0.5) == pytest.approx(0.5)
 
 
+def test_tabulated_narrow_peak_is_not_stepped_over():
+    # a triangle of width 0.02 between wide zero plateaus: with only the end
+    # energies as breakpoints the quadrature saw no current at all
+    knots = (-3.0, 0.49, 0.5, 0.51, 3.0)
+    T = TabulatedTransmission(knots, (0.0, 0.0, 1.0, 0.0, 0.0))
+    assert T.breakpoints() == knots
+    res = ReservoirPair(2.0, 2.0, -0.25, 0.25)
+    I, J = currents(T, res)
+    # reference: scipy.integrate.quad with the knots as points
+    assert I == pytest.approx(-0.0019511390586455, rel=1e-7)
+    assert J == pytest.approx(-0.00097554091123189, rel=1e-7)
+
+
 def test_csv_loading(tmp_path):
     good = tmp_path / "t.csv"
     good.write_text("energy,transmission\n-1.0,0.0\n0.0,0.75\n2.0,1.0\n")
