@@ -50,10 +50,8 @@ from .oracle import (
 from .physics import (
     ReservoirPair,
     delta_f,
-    delta_f_antideriv,
     epsilon_zero,
     fermi,
-    fermi_antideriv,
     fermi_fluct,
     g_noise,
     g_ratio,

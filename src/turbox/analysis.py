@@ -30,8 +30,8 @@ import numpy as np
 
 from .boxcar import BoxcarSet, boxcar_integrals
 from .errors import FeasibilityError, FormulaMismatchError, SingularityError, ValidationError
-from .physics import (ReservoirPair, delta_f, delta_f_antideriv, fermi,
-                      fermi_tail_antiderivs, g_noise)
+from .physics import (ReservoirPair, delta_f, fermi, fermi_tail_antiderivs,
+                      g_noise, interval_moments)
 from .transport import ClosedFormTransmission
 
 __all__ = [
@@ -183,7 +183,7 @@ def symmetric_boxcar_width(beta, dmu, I_target):
     res = _symmetric_reservoirs(beta, dmu)
 
     def current(a):
-        return delta_f_antideriv(res, a / 2.0) - delta_f_antideriv(res, -a / 2.0)
+        return interval_moments(res, -a / 2.0, a / 2.0)[0]
 
     full = -dmu  # current of the full line
     I_t = float(I_target)

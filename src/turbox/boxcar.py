@@ -9,7 +9,7 @@ the sign of R at infinity follows from comparing the line lam*eps + eta
 against the finite limits of g/delta_f and the tail sign of delta_f).
 
 Also provides the integrals I, J and var over a boxcar set, each exact
-from closed-form antiderivatives, and the analytic Jacobian of (I, J) with
+(sums of physics.interval_moments), and the analytic Jacobian of (I, J) with
 respect to (eta, lam) from the implicit function theorem.
 """
 
@@ -392,13 +392,16 @@ def _find_tail_root(ws, lam, eta, side, edge, f_edge, xtol):
     bifurcation).  `edge` is the outermost scan node and `f_edge` the scan's
     R there.  The crossing of the line with the g/delta_f tail limit gives a
     sharp location hint; beyond the underflow horizon the hint itself is
-    returned (the neglected measure carries ~e^-700 weight).
+    returned (the neglected measure carries ~e^-700 weight), or the horizon
+    where the hint overflows.
     """
     res = ws.res
     horizon = ws.horizon_hi if side > 0 else ws.horizon_lo
     if lam != 0.0:
         g_lim = ws.limit_hi if side > 0 else ws.limit_lo
         hint = (g_lim - eta) / lam
+        if not math.isfinite(hint):
+            hint = horizon
     else:
         hint = None
 
@@ -659,67 +662,37 @@ def solve_boxcar(res: ReservoirPair, m: Multipliers, xtol=1e-12) -> BoxcarSet:
 # ---------------------------------------------------------------------------
 
 
-def _anti_scalar(res, e):
-    """Scalar fast path for the delta_f antiderivative."""
-    if e == INF:
-        return 0.0
-    if e == -INF:
-        return res.mu_R - res.mu_L
-    out = 0.0
-    for beta, mu, sgn in (
-        (res.beta_L, res.mu_L, 1.0),
-        (res.beta_R, res.mu_R, -1.0),
-    ):
-        x = beta * (e - mu)
-        if x >= 0.0:
-            v = -math.log1p(math.exp(-x)) / beta
-        else:
-            v = (x - math.log1p(math.exp(x))) / beta
-        out += sgn * v
-    return out
+def _moments(res, B):
+    """(I, J, var) over a boxcar set, summed from physics.interval_moments."""
+    I = J = V = 0.0
+    for a, b in B.intervals:
+        i, j, v = interval_moments(res, a, b)
+        I += i
+        J += j
+        V += v
+    return I, J, V
 
 
 def boxcar_current(res: ReservoirPair, B: BoxcarSet):
-    """Particle current over a boxcar set, via the exact antiderivative."""
-    I = 0.0
-    for a, b in B.intervals:
-        I += _anti_scalar(res, b) - _anti_scalar(res, a)
-    return I
-
-
-def _moments(res, B):
-    """(J, var) over a boxcar set, from the exact antiderivatives."""
-    J = V = 0.0
-    for a, b in B.intervals:
-        j, v = interval_moments(res, a, b)
-        J += j
-        V += v
-    return J, V
+    """Particle current over a boxcar set (exact)."""
+    return _moments(res, B)[0]
 
 
 def boxcar_energy_current(res: ReservoirPair, B: BoxcarSet):
-    """Energy current over a boxcar set, via the exact antiderivatives."""
-    if B.is_empty:
-        return 0.0
-    return _moments(res, B)[0]
+    """Energy current over a boxcar set (exact)."""
+    return _moments(res, B)[1]
 
 
 def boxcar_variance(res: ReservoirPair, B: BoxcarSet):
     """Variance over a boxcar set: the exact integral of g (T^2 = T there)."""
-    if B.is_empty:
-        return 0.0
-    return _moments(res, B)[1]
+    return _moments(res, B)[2]
 
 
 def boxcar_integrals(res: ReservoirPair, B: BoxcarSet):
-    """(I, J, var) over a boxcar set, each a difference of exact
-    antiderivatives: of delta_f for I, and of eps*f and f(1-f) per bath for
-    J and var (see physics.interval_moments).  All three are finite on
-    semi-infinite intervals.
-    """
-    if B.is_empty:
-        return 0.0, 0.0, 0.0
-    return (boxcar_current(res, B), *_moments(res, B))
+    """(I, J, var) over a boxcar set: the integrals of delta_f, eps*delta_f
+    and g, each exact and finite on semi-infinite intervals (see
+    physics.interval_moments)."""
+    return _moments(res, B)
 
 
 def multiplier_jacobian(

@@ -36,8 +36,6 @@ from .boxcar import (
     EMPTY,
     BoxcarSet,
     Multipliers,
-    boxcar_current,
-    boxcar_energy_current,
     boxcar_integrals,
     multiplier_jacobian,
     solve_boxcar,
@@ -207,9 +205,10 @@ def solve_multipliers(
 
     def inner(lam, eta):
         B = solve_boxcar(res, Multipliers(lam, eta), xtol=_XTOL_ROOT)
-        I = boxcar_current(res, B)
+        moments = boxcar_integrals(res, B)
         jac = _jacobian(res, lam, eta, B)
-        return I_t - I, None if jac is None else -jac[0], (lam, eta, B, I, jac)
+        return (I_t - moments[0], None if jac is None else -jac[0],
+                (lam, eta, B, moments, jac))
 
     # lam = 0 is the B_0 bifurcation: symmetric targets sit exactly on it,
     # and a lam of +-epsilon would drag in a zero-measure tail root, so a
@@ -224,8 +223,7 @@ def solve_multipliers(
             eta -= jac[1] / jac[0] * (lam - lam_p)  # tangent of eta*(lam)
         last = _find_root(functools.partial(inner, lam), eta,
                           0.25 * (1.0 + abs(eta)), lambda v, _: abs(v) <= atol_I)
-        _, eta, B, I, jac = last
-        J = boxcar_energy_current(res, B)
+        _, eta, _, (I, J, _), jac = last
         if jac is None:
             return J_t - J, None, last
         # J at eta*(lam) to first order: an inner solve that stops anywhere
@@ -237,25 +235,28 @@ def solve_multipliers(
     # where J matches: at lam = 0 on an equal-beta pair, I(eta) can jump by
     # more than atol_I within an ulp of eta, and only a tilt resolves it
     def done(v, state):
-        return abs(v) <= atol_J and abs(state[3] - I_t) <= atol_I
+        return abs(v) <= atol_J and abs(state[3][0] - I_t) <= atol_I
 
-    lam, eta, B, I, jac = _find_root(outer, lam0, 0.25 * (1.0 + abs(lam0)), done)
+    lam, eta, B, moments, jac = _find_root(outer, lam0, 0.25 * (1.0 + abs(lam0)),
+                                           done)
 
     # the step onto eta*(lam) that the first-order J assumed; it costs one
     # forward solve and leaves I with little but rounding
+    I = moments[0]
     if jac is not None and I != I_t:
         eta_n = eta + (I_t - I) / jac[0]
         B_n = solve_boxcar(res, Multipliers(lam, eta_n), xtol=_XTOL_ROOT)
-        if abs(boxcar_current(res, B_n) - I_t) < abs(I - I_t):
-            eta, B = eta_n, B_n
-    return _assemble(res, lam, eta, B, I_t, J_t, atol_I, atol_J)
+        moments_n = boxcar_integrals(res, B_n)
+        if abs(moments_n[0] - I_t) < abs(I - I_t):
+            eta, B, moments = eta_n, B_n, moments_n
+    return _assemble(lam, eta, B, moments, I_t, J_t, atol_I, atol_J)
 
 
-def _assemble(res, lam, eta, B, I_t, J_t, atol_I, atol_J):
-    """The solution with boxcar B at (lam, eta); raises ConvergenceError,
-    with the solution as its estimate, when it misses either current
-    tolerance."""
-    I, J, V = boxcar_integrals(res, B)
+def _assemble(lam, eta, B, moments, I_t, J_t, atol_I, atol_J):
+    """The solution with boxcar B at (lam, eta) and its moments (I, J, V);
+    raises ConvergenceError, with the solution as its estimate, when it
+    misses either current tolerance."""
+    I, J, V = moments
     sol = OptimalSolution(
         multipliers=Multipliers(lam, eta),
         boxcar=B,

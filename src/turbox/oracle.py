@@ -30,7 +30,7 @@ import numpy as np
 from scipy.optimize import brentq, linprog
 
 from .errors import FeasibilityError, ValidationError
-from .physics import ReservoirPair, delta_f_antideriv, df_g_arrays, fermi, interval_moments
+from .physics import ReservoirPair, df_g_arrays, g_noise, interval_moments
 from .quadrature import gk15_per_panel
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "verify",
 ]
 
+INF = math.inf
 EXHAUSTIVE_CAP = 16
 _FEAS_TOL = 1e-9
 _TIE_TOL = 1e-12
@@ -83,18 +84,6 @@ class GridCells:
         )
 
 
-def _g_tail_mass(res, w, side):
-    """Exact g mass beyond w: antiderivative of f(1-f) is -f/beta."""
-    if side > 0:
-        return (
-            fermi(res.beta_L, res.mu_L, w) / res.beta_L
-            + fermi(res.beta_R, res.mu_R, w) / res.beta_R
-        )
-    return (1.0 - fermi(res.beta_L, res.mu_L, w)) / res.beta_L + (
-        1.0 - fermi(res.beta_R, res.mu_R, w)
-    ) / res.beta_R
-
-
 def g_total_mass(res):
     """integral of g over the whole line: 1/beta_L + 1/beta_R."""
     return 1.0 / res.beta_L + 1.0 / res.beta_R
@@ -106,16 +95,17 @@ def mass_window(res: ReservoirPair, frac=1e-8):
     target = 0.5 * frac * total
     lo0 = min(res.mu_L - 800.0 / res.beta_L, res.mu_R - 800.0 / res.beta_R)
     hi0 = max(res.mu_L + 800.0 / res.beta_L, res.mu_R + 800.0 / res.beta_R)
-    hi = brentq(lambda w: _g_tail_mass(res, w, +1) - target, lo0, hi0, xtol=1e-10)
-    lo = brentq(lambda w: _g_tail_mass(res, w, -1) - target, lo0, hi0, xtol=1e-10)
+    hi = brentq(lambda w: interval_moments(res, w, INF)[2] - target, lo0, hi0,
+                xtol=1e-10)
+    lo = brentq(lambda w: interval_moments(res, -INF, w)[2] - target, lo0, hi0,
+                xtol=1e-10)
     return lo, hi
 
 
 def discretize(res: ReservoirPair, window, N) -> GridCells:
-    """Uniform cells over `window`.  A, B and C are differences of exact
-    antiderivatives over the cell edges (physics.interval_moments for A and
-    C, delta_f_antideriv for B); D, which has none, is summed by Kronrod
-    panels."""
+    """Uniform cells over `window`.  B, C and A, the integrals of delta_f,
+    eps*delta_f and g, are exact, one physics.interval_moments call per
+    cell; D, which has no closed form, is summed by Kronrod panels."""
     lo, hi = float(window[0]), float(window[1])
     if lo > hi:
         raise ValidationError(f"window must satisfy lo <= hi, got ({lo}, {hi})")
@@ -142,9 +132,7 @@ def discretize(res: ReservoirPair, window, N) -> GridCells:
 
     kD, _ = gk15_per_panel(lambda x: df_g_arrays(res, x)[0] ** 2, plo, phi)
     D = kD.reshape(N, sub).sum(axis=1)
-    C, A = np.array([interval_moments(res, a, b) for a, b in zip(edges, edges[1:])]).T
-    anti = np.asarray(delta_f_antideriv(res, edges))
-    B = np.diff(anti)
+    B, C, A = np.array([interval_moments(res, a, b) for a, b in zip(edges, edges[1:])]).T
     return GridCells(
         res=res,
         edges=tuple(edges),
@@ -349,10 +337,8 @@ def grid_error_bound(cells: GridCells, boxcar):
     lo, hi = cells.window
     w = cells.width
     ends = [e for e in boxcar.finite_endpoints() if lo <= e <= hi]
-    from .physics import g_noise
-
     endpoint_cost = sum(g_noise(res, e) * w for e in ends)
-    tail = _g_tail_mass(res, hi, +1) + _g_tail_mass(res, lo, -1)
+    tail = interval_moments(res, hi, INF)[2] + interval_moments(res, -INF, lo)[2]
     return 2.0 * endpoint_cost + tail + 1e-9
 
 

@@ -13,6 +13,11 @@ The three fields that drive the rest of the library are
 All of them are evaluated through exponent-sign branches so they keep full
 relative accuracy deep into the Fermi tails (|beta (eps - mu)| up to ~700),
 where the naive f_L - f_R would round to zero already at ~37.
+
+Their integrals have closed forms, and interval_moments is the one place
+that takes them: the integrals of delta_f, eps*delta_f and g over any
+interval, ends possibly infinite, from the per-bath antiderivatives of
+fermi_tail_antiderivs, each keeping full relative accuracy in the tails.
 """
 
 from __future__ import annotations
@@ -29,9 +34,7 @@ __all__ = [
     "ReservoirPair",
     "fermi",
     "fermi_fluct",
-    "fermi_antideriv",
     "delta_f",
-    "delta_f_antideriv",
     "fermi_tail_antiderivs",
     "interval_moments",
     "g_noise",
@@ -137,22 +140,6 @@ def fermi_fluct(beta, mu, eps):
     return float(out) if scalar else out
 
 
-def fermi_antideriv(beta, mu, eps):
-    """Antiderivative of the Fermi function: -(1/beta) ln(1 + e^{-beta(eps-mu)}).
-
-    Grows like (eps - mu) for eps -> -inf and tends to 0 for eps -> +inf.
-    """
-    if beta <= 0:
-        raise ValidationError(f"beta must be positive, got {beta}")
-    x, scalar = _as_array(beta * (np.asarray(eps, dtype=float) - mu))
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = -np.log1p(np.exp(-x[pos])) / beta
-    # ln(1 + e^{-x}) = -x + ln(1 + e^{x}) for x < 0
-    out[~pos] = (x[~pos] - np.log1p(np.exp(x[~pos]))) / beta
-    return float(out) if scalar else out
-
-
 def delta_f(res: ReservoirPair, eps):
     """f_L(eps) - f_R(eps), with full relative accuracy in both tails.
 
@@ -197,26 +184,6 @@ def delta_f(res: ReservoirPair, eps):
     return float(out) if scalar else out
 
 
-def delta_f_antideriv(res: ReservoirPair, eps):
-    """Antiderivative of delta_f, finite at both infinities.
-
-    Equals F_L(eps) - F_R(eps) with F the Fermi antiderivative; the limits
-    are mu_R - mu_L at -inf and 0 at +inf, so integrals of delta_f over any
-    (possibly semi-infinite) interval are exact differences of this.
-    """
-    e_arr, scalar = _as_array(eps)
-    out = np.empty_like(e_arr)
-    finite = np.isfinite(e_arr)
-    if np.any(finite):
-        ef = e_arr[finite]
-        out[finite] = fermi_antideriv(res.beta_L, res.mu_L, ef) - fermi_antideriv(
-            res.beta_R, res.mu_R, ef
-        )
-    out[e_arr == np.inf] = 0.0
-    out[e_arr == -np.inf] = res.mu_R - res.mu_L
-    return float(out) if scalar else out
-
-
 def _li2_neg(t):
     """Li2(-t) for 0 <= t <= 1, with full relative accuracy.
 
@@ -254,26 +221,32 @@ def fermi_tail_antiderivs(beta, mu, eps, side):
 
 
 def interval_moments(res: ReservoirPair, a, b):
-    """Exact (integral of eps*delta_f, integral of g) over [a, b].
+    """Exact (I, J, V): the integrals of delta_f, eps*delta_f and g over [a, b].
 
     The ends may be infinite.  For each bath the interval is split at its
     mu, c = mu clipped into [a, b], so that the pieces [a, c] and [c, b]
     each lie on one side, and the integrals are differences of
-    fermi_tail_antiderivs on that side's branch.  Below mu, eps*f is eps
-    less eps*(1 - f); the two baths' (c^2 - a^2)/2 leave (c_L^2 - c_R^2)/2,
-    which vanishes in both tails and is added last.
+    fermi_tail_antiderivs on that side's branch.  Below mu, f is 1 less
+    1 - f and eps*f is eps less eps*(1 - f); of the two baths' c - a and
+    (c^2 - a^2)/2 only c_L - c_R and (c_L - c_R)(c_L + c_R)/2 remain,
+    added last.  Both vanish in the tails, where c_L = c_R, and stay finite
+    where c^2 would overflow; no energy is ever shifted by the other bath's
+    mu, so a difference deep in a tail keeps full relative accuracy.
     """
-    J = V = c2 = 0.0
+    I = J = V = 0.0
+    ends = []
     for beta, mu, sgn in ((res.beta_L, res.mu_L, 1.0), (res.beta_R, res.mu_R, -1.0)):
         c = min(max(mu, a), b)
-        _, Ta, Wa = fermi_tail_antiderivs(beta, mu, a, -1.0)
-        _, Tc_lo, Wc_lo = fermi_tail_antiderivs(beta, mu, c, -1.0)
-        _, Tc_hi, Wc_hi = fermi_tail_antiderivs(beta, mu, c, 1.0)
-        _, Tb, Wb = fermi_tail_antiderivs(beta, mu, b, 1.0)
+        Fa, Ta, Wa = fermi_tail_antiderivs(beta, mu, a, -1.0)
+        Fc_lo, Tc_lo, Wc_lo = fermi_tail_antiderivs(beta, mu, c, -1.0)
+        Fc_hi, Tc_hi, Wc_hi = fermi_tail_antiderivs(beta, mu, c, 1.0)
+        Fb, Tb, Wb = fermi_tail_antiderivs(beta, mu, b, 1.0)
+        I += sgn * ((Fb - Fc_hi) - (Fc_lo - Fa))
         J += sgn * ((Tb - Tc_hi) - (Tc_lo - Ta))
         V += (Wb - Wc_hi) + (Wc_lo - Wa)
-        c2 += sgn * c * c
-    return J + 0.5 * c2, V
+        ends.append(c)
+    c_L, c_R = ends
+    return I + (c_L - c_R), J + 0.5 * (c_L - c_R) * (c_L + c_R), V
 
 
 def g_noise(res: ReservoirPair, eps):

@@ -10,8 +10,10 @@ condition written as sign(lam) (eps - eps1) delta_f >= 0, lam -> -inf gives
 the boxcar between eps0 and eps1 and lam -> +inf its complement.  Both
 families are parametrized by one monotone function (the current of the
 compact boxcar as its free endpoint sweeps the line), so each boundary
-point is found by a single bracketed root solve on the exact antiderivative
-of delta_f.
+point is found by a single bracketed root solve on the exact current of
+physics.interval_moments.  At equal beta delta_f keeps one sign and eps0
+does not exist; the compact shape is then the half line [eps1, inf), as if
+eps0 sat at +inf, and its complement the half line (-inf, eps1').
 """
 
 from __future__ import annotations
@@ -27,14 +29,14 @@ from .boxcar import (
     EMPTY,
     BoxcarSet,
     Multipliers,
-    boxcar_current,
-    boxcar_energy_current,
-    boxcar_variance,
-    solve_boxcar,
+    _fields,
     _workspace,
+    boxcar_current,
+    boxcar_integrals,
+    solve_boxcar,
 )
-from .errors import ConvergenceError, FeasibilityError, SolverError, ValidationError
-from .physics import ReservoirPair, delta_f_antideriv, epsilon_zero, g_ratio, g_ratio_limits
+from .errors import ConvergenceError, FeasibilityError, SolverError
+from .physics import ReservoirPair, epsilon_zero, g_ratio_limits, interval_moments
 
 __all__ = [
     "CurrentBounds",
@@ -64,8 +66,9 @@ class JExtrema:
 
     eps1 is the free endpoint of the compact extremal boxcar (the other
     endpoint is eps0); the complement shape shares the same parametrization
-    through a second threshold.  Variances are reported for both extremal
-    shapes.
+    through a second threshold.  At equal beta both shapes are half lines,
+    and eps1 is the endpoint of the J_min one.  Variances are reported for
+    both extremal shapes.
     """
 
     J_min: float
@@ -103,9 +106,8 @@ def current_bounds(res: ReservoirPair) -> CurrentBounds:
 
 
 def _compact_current(res, t, e0):
-    """Current of the boxcar between eps0 and t (monotone in t)."""
-    s = delta_f_antideriv(res, t) - delta_f_antideriv(res, e0)
-    return s if t >= e0 else -s
+    """Current of the boxcar between e0 and t (monotone in t)."""
+    return interval_moments(res, min(t, e0), max(t, e0))[0]
 
 
 def _solve_compact_endpoint(res, I, e0, I_lo, I_hi):
@@ -127,38 +129,9 @@ def _solve_compact_endpoint(res, I, e0, I_lo, I_hi):
         # beyond the attainable range at the horizon: the endpoint is at
         # infinity for all practical purposes
         return INF if (I > 0) == (sgn > 0) else -INF
-    return brentq(f, lo, hi, xtol=1e-13 * (1.0 + abs(e0)), rtol=8.9e-16)
-
-
-def _half_line_threshold(res, I, side):
-    """Threshold t of a half-line boxcar with current I (delta_beta == 0).
-
-    side=+1: [t, inf); side=-1: (-inf, t].  Monotone in t since delta_f is
-    sign-definite.
-    """
-    ws = _workspace(res)
-
-    if side > 0:
-
-        def f(t):
-            return -delta_f_antideriv(res, t) - I
-
-    else:
-
-        def f(t):
-            return delta_f_antideriv(res, t) - (res.mu_R - res.mu_L) - I
-
-    lo, hi = ws.horizon_lo, ws.horizon_hi
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0:
-        raise FeasibilityError(
-            f"current {I} not attainable by a half-line boxcar", boundary="I range"
-        )
-    return brentq(f, lo, hi, xtol=1e-13 * (1.0 + abs(res.mu_L) + abs(res.mu_R)))
+    # the anchor at +inf (equal beta) sets no scale; the biases do
+    scale = abs(e0) if math.isfinite(e0) else abs(res.mu_L) + abs(res.mu_R)
+    return brentq(f, lo, hi, xtol=1e-13 * (1.0 + scale), rtol=8.9e-16)
 
 
 def _interval_between(a, b):
@@ -195,56 +168,28 @@ def j_extrema(res: ReservoirPair, I) -> JExtrema:
             f"I = {I} outside the open current range ({cb.I_min}, {cb.I_max})",
             boundary="I_min" if I <= cb.I_min else "I_max",
         )
+    # at equal beta delta_f keeps one sign and the compact shape is the
+    # half line [eps1, inf): the anchor eps0 moves to +inf
     e0 = epsilon_zero(res)
     if e0 is None:
-        t_r = _half_line_threshold(res, I, +1)
-        t_l = _half_line_threshold(res, I, -1)
-        B_r = BoxcarSet(((t_r, INF),))
-        B_l = BoxcarSet(((-INF, t_l),))
-        J_r = boxcar_energy_current(res, B_r)
-        J_l = boxcar_energy_current(res, B_l)
-        V_r = boxcar_variance(res, B_r)
-        V_l = boxcar_variance(res, B_l)
-        if J_l <= J_r:
-            return JExtrema(J_l, J_r, t_l, B_l, B_r, V_l, V_r)
-        return JExtrema(J_r, J_l, t_r, B_r, B_l, V_r, V_l)
-
+        e0 = INF
     t = _solve_compact_endpoint(res, I, e0, cb.I_min, cb.I_max)
     B_c = _interval_between(e0, t)
     # complement shape with the same current: its compact partner carries
     # the remaining full-line current delta_mu - I
     t_p = _solve_compact_endpoint(res, res.delta_mu - I, e0, cb.I_min, cb.I_max)
     B_p = _complement_set(e0, t_p)
-    J_c = boxcar_energy_current(res, B_c)
-    J_p = boxcar_energy_current(res, B_p)
-    V_c = boxcar_variance(res, B_c)
-    V_p = boxcar_variance(res, B_p)
+    _, J_c, V_c = boxcar_integrals(res, B_c)
+    _, J_p, V_p = boxcar_integrals(res, B_p)
     if J_c <= J_p:
         return JExtrema(J_c, J_p, t, B_c, B_p, V_c, V_p)
-    return JExtrema(J_p, J_c, t, B_p, B_c, V_p, V_c)
+    # at equal beta eps1 belongs to the J_min half line (see JExtrema)
+    return JExtrema(J_p, J_c, t_p if e0 == INF else t, B_p, B_c, V_p, V_c)
 
 
 # ---------------------------------------------------------------------------
 # bifurcation curves
 # ---------------------------------------------------------------------------
-
-
-def _g_ratio_deriv(res, z, rtol=1e-8):
-    """d(g/delta_f)/dz by central differences with Richardson step-halving."""
-    ws = _workspace(res)
-    h = 1e-2 / ws.beta_max * max(1.0, abs(z))
-    prev = None
-    for _ in range(40):
-        d1 = (g_ratio(res, z + h) - g_ratio(res, z - h)) / (2.0 * h)
-        d2 = (g_ratio(res, z + h / 2) - g_ratio(res, z - h / 2)) / h
-        val = (4.0 * d2 - d1) / 3.0
-        if prev is not None and abs(val - prev) <= rtol * max(1.0, abs(val)):
-            return val
-        prev = val
-        h /= 2.0
-        if h < 1e-12 * max(1.0, abs(z)):
-            return val
-    return prev
 
 
 @dataclass(frozen=True)
@@ -260,7 +205,8 @@ def bifurcation_curves(res: ReservoirPair, z_grid=None, eta_grid=None, xtol=1e-1
     """Bifurcation set sampled in multiplier space and mapped to (I, J).
 
     Tangency branch: lam = G'(z), eta = G(z) - z G'(z) with G = g/delta_f
-    (a double root of R is born where the line is tangent to G).  The
+    (a double root of R is born where the line is tangent to G), and G' is
+    exact from the analytic derivatives of g and delta_f.  The
     lam = 0 branch is sampled over eta_grid; crossing it toggles one tail
     root.  z values too close to eps0 are skipped with a notice.
     """
@@ -270,49 +216,44 @@ def bifurcation_curves(res: ReservoirPair, z_grid=None, eta_grid=None, xtol=1e-1
         z_grid = np.linspace(ws.quad_lo, ws.quad_hi, 241)
     z_grid = np.asarray(z_grid, dtype=float)
 
+    # G' = (g' delta_f - g delta_f') / delta_f^2, exact from one field pass
+    df, g, dfp, gp = _fields(res, z_grid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        G = g / df
+        dG = (gp - G * dfp) / df
+    keep = np.isfinite(G) & np.isfinite(dG)
+    if e0 is not None:
+        keep &= np.abs(z_grid - e0) >= 0.2 / ws.beta_max
+    skipped = int(z_grid.size - np.count_nonzero(keep))
+
     rows = []
-    skipped = 0
-    g_vals = []
-    for z in z_grid:
-        if e0 is not None and abs(z - e0) < 0.2 / ws.beta_max:
-            skipped += 1
-            continue
-        try:
-            gz = g_ratio(res, z)
-            dgz = _g_ratio_deriv(res, z)
-        except (SolverError, ValidationError, ZeroDivisionError):
-            skipped += 1
-            continue
-        g_vals.append(gz)
-        lam = dgz
-        eta = gz - z * dgz
+    for z, gz, dgz in zip(z_grid[keep], G[keep], dG[keep]):
+        lam = float(dgz)
+        eta = float(gz - z * dgz)
         try:
             B = solve_boxcar(res, Multipliers(lam, eta), xtol=xtol)
         except SolverError:
             # the tangency point itself is the degenerate case the scan is
             # allowed to miss; perturb off the curve for the mapped point
             B = solve_boxcar(res, Multipliers(lam, eta * (1 + 1e-9) + 1e-12), xtol=xtol)
-        I = boxcar_current(res, B)
-        J = boxcar_energy_current(res, B)
+        I, J, _ = boxcar_integrals(res, B)
         rows.append(BifurcationPoint("B_tan", lam, eta, I, J))
     if skipped:
         warnings.warn(
             f"bifurcation_curves: skipped {skipped} z values too close to eps0 "
-            "or with unstable derivative",
+            "or where delta_f underflows",
             stacklevel=2,
         )
 
     if eta_grid is None:
         lim = g_ratio_limits(res)
-        pool = np.asarray(g_vals + list(lim), dtype=float)
-        pool = pool[np.isfinite(pool)]
+        pool = np.append(G[keep], lim)
         lo, hi = np.percentile(pool, [2.0, 98.0])
         pad = 0.25 * (hi - lo) + 0.1
         eta_grid = np.linspace(lo - pad, hi + pad, 121)
     for eta in np.asarray(eta_grid, dtype=float):
         B = solve_boxcar(res, Multipliers(0.0, float(eta)), xtol=xtol)
-        I = boxcar_current(res, B)
-        J = boxcar_energy_current(res, B)
+        I, J, _ = boxcar_integrals(res, B)
         rows.append(BifurcationPoint("B_0", 0.0, float(eta), I, J))
     return rows
 

@@ -363,6 +363,31 @@ def test_integrals_degenerate_width(fig2_res):
     assert all(v < 1e-5 for v in vals[2])
 
 
+def test_integrals_finite_at_far_tail_roots(fig2_res):
+    # at tiny lam the tail roots sit near -eta/lam, past 1e154, where the
+    # squares of the endpoints overflow; the tails carry no measure, so the
+    # moments are those of the middle interval alone
+    B = solve_boxcar(fig2_res, Multipliers(5.59376e-155, -0.38))
+    assert B.signature() == (3, True, True)
+    assert abs(B.intervals[0][1]) > 1e154 and B.intervals[2][0] > 1e154
+    got = boxcar_integrals(fig2_res, B)
+    assert all(math.isfinite(v) for v in got)
+    middle = boxcar_integrals(fig2_res, BoxcarSet(B.intervals[1:2]))
+    assert got == pytest.approx(middle, rel=1e-12, abs=0.0)
+
+
+def test_overflowing_tail_hint_gives_the_horizon():
+    # the line meets the tail limit of g/delta_f at (G - eta)/lam, which
+    # overflows here; the tail root is put at the underflow horizon, beyond
+    # which no measure is representable
+    res = ReservoirPair(1.0, 1.0, -0.025, 0.025)
+    B = solve_boxcar(res, Multipliers(9.594e-190, 5.51e119))
+    assert B.signature() == (1, True, False)
+    assert B.intervals[0][1] == pytest.approx(_workspace(res).horizon_lo, rel=1e-12)
+    for v in boxcar_integrals(res, B):
+        assert math.isfinite(v) and abs(v) < 1e-300
+
+
 def test_j_dominated_by_eps0_identity(fig2_res, rng):
     # J - eps0 I = integral of (eps - eps0) delta_f >= 0 pointwise
     e0 = epsilon_zero(fig2_res)

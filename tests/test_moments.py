@@ -1,6 +1,6 @@
 """Exact boxcar moments against 40-digit quadrature.
 
-J, var, theta1, theta2 and the oracle's A/C cells are differences of
+I, J, var, theta1, theta2 and the oracle's A/B/C cells are differences of
 closed-form antiderivatives (physics.fermi_tail_antiderivs).  Each is
 compared with mpmath's tanh-sinh quadrature at 40 digits, split at both
 chemical potentials and at geometric offsets around them so that every
@@ -12,9 +12,19 @@ import math
 import numpy as np
 import pytest
 
-from turbox import BoxcarSet, ReservoirPair, boxcar_energy_current, boxcar_variance
+from turbox import (
+    BoxcarSet,
+    ConvergenceError,
+    ReservoirPair,
+    boxcar_current,
+    boxcar_energy_current,
+    boxcar_variance,
+    solve_multipliers,
+)
 from turbox.analysis import LinearResponseFrame, theta_moments
 from turbox.oracle import discretize
+from turbox.physics import interval_moments
+from conftest import target_atols
 
 mp = pytest.importorskip("mpmath")
 mp.mp.dps = 40
@@ -38,6 +48,12 @@ def _quad(func, a, b, baths):
     pts += [mp.mpf(c) for c in sorted(cuts) if a < c < b]
     pts.append(mp.mpf(b) if b < INF else mp.inf)
     return mp.quad(func, pts)
+
+
+def _current(res, a, b):
+    """I over [a, b] at 40 digits."""
+    baths = ((res.beta_L, res.mu_L), (res.beta_R, res.mu_R))
+    return _quad(lambda e: _fermi(*baths[0], e) - _fermi(*baths[1], e), a, b, baths)
 
 
 def _reference(res, a, b):
@@ -89,6 +105,58 @@ def test_moments_match_mpmath():
         tol = 1e-14 * _scale(res) ** 2
         assert abs(boxcar_energy_current(res, B) - J_ref) <= tol, (res, a, b)
         assert abs(boxcar_variance(res, B) - V_ref) <= tol, (res, a, b)
+
+
+def _far_interval(rng, res, k):
+    """One end in the core, the other 1e2 to 1e154 out, on either side."""
+    beta, mu = min((res.beta_L, res.mu_L), (res.beta_R, res.mu_R))
+    near = mu + rng.uniform(-5.0, 5.0) / beta
+    far = 10.0 ** rng.uniform(2.0, 154.0)
+    return (-far, near) if k % 2 else (near, far)
+
+
+def test_current_matches_mpmath():
+    # relative accuracy everywhere: forming beta (eps - mu) for each bath
+    # and subtracting would lose mu_R - mu_L to rounding at far ends
+    rng = np.random.default_rng(5)
+    for k in range(36):
+        res = _random_pair(rng, k)
+        a, b = (_random_interval if k < 24 else _far_interval)(rng, res, k)
+        ref = float(_current(res, a, b))
+        got = interval_moments(res, a, b)[0]
+        assert abs(got - ref) <= 1e-13 * abs(ref), (res, a, b, got, ref)
+
+
+def test_far_left_current_keeps_relative_accuracy(fig2_res):
+    # delta_f ~ 1e-13 here; the endpoints are 30 to 40 from both mu
+    got = boxcar_current(fig2_res, BoxcarSet(((-40.0, -30.0),)))
+    ref = float(_current(fig2_res, -40.0, -30.0))
+    assert ref == pytest.approx(-2.54355e-13, rel=1e-5)
+    assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_current_with_tails_past_1e99(fig2_res):
+    # tails (-inf, -6.2e99] and [1.38e100, inf) carry no measure
+    mid = (-0.418487237814632, -0.08894118259170616)
+    B = BoxcarSet(((-INF, -6.2e99), mid, (1.38e100, INF)))
+    ref = float(_current(fig2_res, *mid))
+    assert ref == pytest.approx(-0.21520, abs=1e-5)
+    assert boxcar_current(fig2_res, B) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_small_symmetric_target_is_right_or_raises():
+    # at lam = 0 on this equal-beta pair I(eta) jumps within an ulp of eta;
+    # a returned solution must carry its target current in 40-digit
+    # arithmetic, not only in the solver's own
+    res = ReservoirPair(1.0, 1.0, -0.025, 0.025)
+    I_t = -2.9788994023613712e-05
+    atol_I, _ = target_atols(res, I_t, 0.0)
+    try:
+        sol = solve_multipliers(res, I_t, 0.0)
+    except ConvergenceError:
+        return
+    ref = sum(_current(res, a, b) for a, b in sol.boxcar.intervals)
+    assert abs(float(ref) - I_t) <= atol_I, (sol, float(ref))
 
 
 def _tail_cases(rng):
@@ -160,5 +228,7 @@ def test_oracle_cells_match_mpmath():
         for i in range(cells.n_cells):
             J_ref, V_ref = _reference(res, edges[i], edges[i + 1])
             assert abs(cells.C[i] - J_ref) <= 1e-14 * s**2, (res, i)
+            I_ref = _current(res, edges[i], edges[i + 1])
+            assert abs(cells.B[i] - I_ref) <= 1e-14 * s, (res, i)
             assert abs(cells.A[i] - V_ref) <= 1e-14 * s**2, (res, i)
 

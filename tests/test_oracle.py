@@ -23,12 +23,13 @@ FIG3G = ReservoirPair.from_temperatures(1.0, 0.2, 0.1, 0.6)
 
 
 def test_mass_window_coverage(fig2_res):
-    from turbox.oracle import _g_tail_mass
+    from turbox.physics import interval_moments
 
     for frac in (1e-6, 1e-8):
         lo, hi = mass_window(fig2_res, frac)
         total = g_total_mass(fig2_res)
-        missing = _g_tail_mass(fig2_res, hi, +1) + _g_tail_mass(fig2_res, lo, -1)
+        missing = (interval_moments(fig2_res, hi, math.inf)[2]
+                   + interval_moments(fig2_res, -math.inf, lo)[2])
         assert missing <= frac * total * 1.0001
 
 
@@ -38,11 +39,11 @@ def test_discretize_cells(fig2_res):
     assert cells.n_cells == 12
     assert all(a > 0.0 for a in cells.A)
     assert all(d >= 0.0 for d in cells.D)
-    # sum of B equals the window current from the exact antiderivative
-    from turbox import delta_f_antideriv
+    # sum of B equals the window current from the exact antiderivatives
+    from turbox.physics import interval_moments
 
     assert sum(cells.B) == pytest.approx(
-        delta_f_antideriv(fig2_res, w[1]) - delta_f_antideriv(fig2_res, w[0]),
+        interval_moments(fig2_res, w[0], w[1])[0],
         abs=1e-12,
     )
 

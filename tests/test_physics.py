@@ -11,14 +11,13 @@ from turbox import (
     SingularityError,
     ValidationError,
     delta_f,
-    delta_f_antideriv,
     epsilon_zero,
     fermi,
-    fermi_antideriv,
     g_noise,
     g_ratio,
     g_ratio_limits,
 )
+from turbox.physics import interval_moments
 from conftest import random_reservoir
 
 
@@ -144,30 +143,35 @@ def test_epsilon_zero_cases():
     assert epsilon_zero(ReservoirPair(1.0, 1.0, -1.0, 1.0)) is None
 
 
-def test_fermi_antideriv_derivative(rng):
-    # d/de of -(1/beta) ln(1 + e^{-beta(e-mu)}) equals the Fermi function
+def test_interval_moments_derivative(rng):
+    # d/db of the integrals over [a, b] are the integrands delta_f, eps*delta_f
+    # and g at b
     h = 1e-6
     for _ in range(10):
-        beta = rng.uniform(0.2, 5.0)
-        mu = rng.uniform(-2.0, 2.0)
-        for e in rng.uniform(mu - 8.0 / beta, mu + 8.0 / beta, size=5):
-            fd = (fermi_antideriv(beta, mu, e + h) - fermi_antideriv(beta, mu, e - h)) / (
-                2.0 * h
-            )
-            assert fd == pytest.approx(fermi(beta, mu, float(e)), rel=1e-6)
+        res = random_reservoir(rng, equal_beta_prob=0.2)
+        beta = min(res.beta_L, res.beta_R)
+        a = min(res.mu_L, res.mu_R) - 10.0 / beta
+        for e in rng.uniform(res.mu_L - 8.0 / beta, res.mu_L + 8.0 / beta, size=5):
+            hi = interval_moments(res, a, e + h)
+            lo = interval_moments(res, a, e - h)
+            fd = [(u - v) / (2.0 * h) for u, v in zip(hi, lo)]
+            df = delta_f(res, float(e))
+            assert fd[0] == pytest.approx(df, rel=1e-6, abs=1e-9)
+            assert fd[1] == pytest.approx(e * df, rel=1e-6, abs=1e-9)
+            assert fd[2] == pytest.approx(g_noise(res, float(e)), rel=1e-6, abs=1e-9)
 
 
-def test_delta_f_antideriv_against_quadrature(fig2_res):
+def test_interval_current_against_quadrature(fig2_res):
     # independent oracle: adaptive scipy quadrature of delta_f itself
     for a, b in [(-3.0, 1.5), (0.875, 6.0), (-8.0, -1.0)]:
         ref, err = quad(lambda x: delta_f(fig2_res, x), a, b, epsabs=1e-13)
-        exact = delta_f_antideriv(fig2_res, b) - delta_f_antideriv(fig2_res, a)
+        exact = interval_moments(fig2_res, a, b)[0]
         assert exact == pytest.approx(ref, abs=max(1e-12, 10 * err))
 
 
-def test_delta_f_antideriv_full_line():
+def test_interval_current_full_line():
     res = ReservoirPair(1.0, 1.0, -1.0, 1.0)
-    full = delta_f_antideriv(res, math.inf) - delta_f_antideriv(res, -math.inf)
+    full = interval_moments(res, -math.inf, math.inf)[0]
     assert full == pytest.approx(-2.0, abs=1e-14)  # equals mu_L - mu_R
 
 

@@ -166,6 +166,30 @@ def test_btan_crossing_changes_interval_count():
     assert exact_one >= 0.75 * len(pts)
 
 
+def test_tangency_line_touches_g_ratio_exactly(fig2_res):
+    # each B_tan row is the tangent of G = g/delta_f at its z: lam = G'(z)
+    # and eta = G(z) - z G'(z), against 40-digit differentiation, out to
+    # the far tail where G' is about 1e-14
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    res = fig2_res
+
+    def G(e):
+        fL = 1 / (mp.exp(res.beta_L * (e - res.mu_L)) + 1)
+        fR = 1 / (mp.exp(res.beta_R * (e - res.mu_R)) + 1)
+        return (fL * (1 - fL) + fR * (1 - fR)) / (fL - fR)
+
+    z = np.array([-6.0, -2.5, -0.3, 0.4, 1.6, 4.0, 12.0, 31.8])
+    pts = bifurcation_curves(res, z_grid=z, eta_grid=[0.0])
+    tan = [p for p in pts if p.tag == "B_tan"]
+    assert len(tan) == z.size
+    for zi, p in zip(z, tan):
+        d = mp.diff(G, mp.mpf(zi))
+        assert abs(p.lam - float(d)) <= 1e-13 * max(1.0, abs(float(d))), (zi, p)
+        eta = float(G(mp.mpf(zi)) - zi * d)
+        assert abs(p.eta - eta) <= 1e-13 * max(1.0, abs(eta)), (zi, p)
+
+
 def test_b0_crossing_toggles_one_endpoint_finiteness():
     # equal temperatures: the tail signs coincide, so between lam = 0 and a
     # half-crossing exactly one semi-infinite endpoint changes finiteness

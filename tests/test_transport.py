@@ -14,11 +14,11 @@ from turbox import (
     ValidationError,
     boxcar_integrals,
     currents,
-    delta_f_antideriv,
     load_transmission_csv,
     summary,
     variance,
 )
+from turbox.physics import interval_moments
 from conftest import random_boxcar, random_reservoir, random_tabulated
 
 FULL_LINE = BoxcarTransmission(BoxcarSet(((-math.inf, math.inf),)))
@@ -77,14 +77,15 @@ def test_variance_nonnegative_random(rng):
 def test_current_bound_and_saturation(fig2_res, rng):
     # |I| <= integral of |delta_f|; the one-sided boxcar saturates its side
     e0 = 0.875
-    D = lambda e: delta_f_antideriv(fig2_res, e)
-    int_abs = abs(D(e0) - D(-math.inf)) + abs(D(math.inf) - D(e0))
+    below = interval_moments(fig2_res, -math.inf, e0)[0]
+    above = interval_moments(fig2_res, e0, math.inf)[0]
+    int_abs = abs(below) + abs(above)
     for _ in range(10):
         T = random_tabulated(rng, fig2_res)
         I, _ = currents(T, fig2_res)
         assert abs(I) <= int_abs + 1e-10
     I_max, _ = currents(BoxcarTransmission(BoxcarSet(((e0, math.inf),))), fig2_res)
-    assert I_max == pytest.approx(D(math.inf) - D(e0), rel=1e-9)
+    assert I_max == pytest.approx(above, rel=1e-9)
 
 
 def test_quadrature_self_consistency(fig2_res, rng):
