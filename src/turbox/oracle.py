@@ -6,9 +6,14 @@ polytope {0 <= tau <= 1, B.tau = I0, C.tau = J0}.  Its minimum sits at a
 vertex, where at least N-2 coordinates are binary, so exhaustive vertex
 enumeration (every choice of the two non-binary cells, every binary
 pattern for the rest) certifies the optimum exactly at desk scale.  The
-linearized objective sum(tau_i A_i) is minimized the same way (or by an LP
-for larger N); the quadratic and linear optima bracket the continuous
-minimal variance up to an explicit grid-resolution bound.
+enumeration is a branch and bound over all pairs at once: a partial
+pattern is dropped only when no completion of it can put the two free
+cells in [0, 1], with a rounding slack, so the pruning is conservative and
+every vertex an unpruned enumeration accepts is still visited and tested
+the same way.  The linearized objective sum(tau_i A_i) is minimized the
+same way (or by an LP for larger N); the quadratic and linear optima
+bracket the continuous minimal variance up to an explicit grid-resolution
+bound.
 
 Per-cell data:
 
@@ -23,6 +28,7 @@ and the boxcar-measure diagnostic is boxcar_defect(tau) = sum D_i tau_i (1 - tau
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,8 +95,11 @@ def g_total_mass(res):
     return 1.0 / res.beta_L + 1.0 / res.beta_R
 
 
+@functools.lru_cache(maxsize=128)
 def mass_window(res: ReservoirPair, frac=1e-8):
-    """Window capturing all but `frac` of the total g mass (half per side)."""
+    """Window capturing all but `frac` of the total g mass (half per side).
+
+    Memoised: verify asks for the same window on every call."""
     total = g_total_mass(res)
     target = 0.5 * frac * total
     lo0 = min(res.mu_L - 800.0 / res.beta_L, res.mu_R - 800.0 / res.beta_R)
@@ -197,9 +206,14 @@ class _Best:
 def solve_discrete(cells: GridCells, I0, J0, mode="auto") -> DiscreteSolution:
     """Minimize the quadratic and linearized objectives over the polytope.
 
-    mode "exhaustive" enumerates every vertex (N <= 16); "lp" solves only
-    the linear program (valid at any N, with the quadratic value evaluated
-    at the LP vertex); "auto" picks exhaustive when affordable.
+    mode "exhaustive" enumerates every vertex (N <= 16) by branch and
+    bound, and takes the minimum of each objective over the vertices.  The
+    pruning only drops partial patterns whose every completion leaves a
+    free cell outside [0, 1] by more than a rounding slack, so the vertices
+    tested, and the optima, are those of an unpruned enumeration.  "lp"
+    solves only the linear program (valid at any N, with the quadratic
+    value evaluated at the LP vertex); "auto" picks exhaustive when
+    affordable.
     """
     N = cells.n_cells
     if mode == "auto":
@@ -242,58 +256,142 @@ def _solve_lp(cells, A, B, C, D, I0, J0):
     )
 
 
+def _others(i, j, m):
+    """Row r lists, in increasing order, the m cells other than i[r] < j[r]."""
+    k = np.arange(m)
+    return k + (k >= i[:, None]) + (k >= j[:, None] - 1)
+
+
+def _vertices(A, B, C, I0, J0):
+    """Every feasible vertex: a pair (i, j) of free cells, the rest binary.
+
+    A vertex's binary cells form a pattern p whose bit k is the k-th cell
+    other than i and j.  With det = B_i C_j - B_j C_i, the pattern fixes
+    t_i = t0 - sum_k p_k u_k and t_j = s0 - sum_k p_k v_k, where
+    u_k = (B_k C_j - C_k B_j) / det and v_k = (B_i C_k - C_i B_k) / det
+    (t0 and s0 are t_i and t_j of the empty pattern).  The patterns of all
+    pairs are grown together, one bit per level, the bits of a pair in
+    decreasing order of |u_k| + |v_k|.  A partial pattern is dropped only
+    when the suffix bounds on the bits still open put t_i or t_j outside
+    the feasible range by more than a rounding slack, so every vertex that
+    passes the feasibility test below survives to it.  That test reads t_i
+    and t_j from the exact formula on the summed currents, as an unpruned
+    enumeration would.
+
+    Returns arrays (i, j, pattern, t_i, t_j, sum of A over the pattern),
+    sorted by pair and then pattern, with t_i and t_j clipped to [0, 1].
+    """
+    N = len(A)
+    m = N - 2
+    scale_bc = max(np.abs(B).max(), np.abs(C).max(), 1e-300)
+    pi, pj = np.triu_indices(N, 1)
+    det = B[pi] * C[pj] - B[pj] * C[pi]
+    # a zero det (all-zero cells) makes t_i infinite or nan, never feasible
+    keep = (np.abs(det) >= 1e-14 * scale_bc * scale_bc) & (det != 0.0)
+    pi, pj, det = pi[keep], pj[keep], det[keep]
+    Bi, Ci, Bj, Cj = B[pi], C[pi], B[pj], C[pj]
+    others = _others(pi, pj, m)
+    u = (B[others] * Cj[:, None] - C[others] * Bj[:, None]) / det[:, None]
+    v = (Bi[:, None] * C[others] - Ci[:, None] * B[others]) / det[:, None]
+    order = np.argsort(-(np.abs(u) + np.abs(v)), axis=1, kind="stable")
+    # tables with one row per level and one column per pair
+    u, v, cell = (np.take_along_axis(x, order, axis=1).T for x in (u, v, others))
+    bit = np.left_shift(1, order).T
+    Bc, Cc, Ac = B[cell], C[cell], A[cell]
+
+    # rounding slack: t summed from u and v, or from the exact formula, is
+    # off by a few ulps of these sums of |terms|; the slack is 1e-12 of them
+    sum_b, sum_c = np.abs(B).sum(), np.abs(C).sum()
+    slack_i = 1e-12 * ((abs(I0) + sum_b) * np.abs(Cj)
+                       + (abs(J0) + sum_c) * np.abs(Bj)) / np.abs(det)
+    slack_j = 1e-12 * ((abs(J0) + sum_c) * np.abs(Bi)
+                       + (abs(I0) + sum_b) * np.abs(Ci)) / np.abs(det)
+
+    def window(x, slack):
+        # a node of level d has t_final in [t - up, t - down], where up and
+        # down sum the positive and negative x of the bits still open, so
+        # some completion may be feasible only if lo + down <= t <= hi + up
+        up = np.zeros((m + 1, len(slack)))
+        down = np.zeros((m + 1, len(slack)))
+        up[:m] = np.cumsum(np.maximum(x, 0.0)[::-1], axis=0)[::-1]
+        down[:m] = np.cumsum(np.minimum(x, 0.0)[::-1], axis=0)[::-1]
+        return -_FEAS_TOL - slack + down, 1.0 + _FEAS_TOL + slack + up
+
+    lo_i, hi_i = window(u, slack_i)
+    lo_j, hi_j = window(v, slack_j)
+
+    # frontier: pair, pattern, partial sums of B, C and A, and t_i, t_j
+    # summed from u and v
+    q = np.arange(len(pi))
+    nodes = (q, np.zeros(len(pi), dtype=np.int64), np.zeros(len(pi)),
+             np.zeros(len(pi)), np.zeros(len(pi)),
+             (I0 * Cj - J0 * Bj) / det, (Bi * J0 - Ci * I0) / det)
+    for d in range(m + 1):
+        q, pat, sB, sC, sA, ti, tj = nodes
+        ok = ((lo_i[d][q] <= ti) & (ti <= hi_i[d][q])
+              & (lo_j[d][q] <= tj) & (tj <= hi_j[d][q]))
+        if not ok.all():
+            q, pat, sB, sC, sA, ti, tj = nodes = tuple(x[ok] for x in nodes)
+        if d == m:
+            break
+        # children: bit d of the pair's order off (the node as it is) or on
+        on = (q, pat | bit[d][q], sB + Bc[d][q], sC + Cc[d][q],
+              sA + Ac[d][q], ti - u[d][q], tj - v[d][q])
+        nodes = tuple(np.concatenate(x) for x in zip(nodes, on))
+
+    # the survivors' t_i and t_j by the exact formula, and the feasibility
+    # test of an unpruned enumeration
+    rI = I0 - sB
+    rJ = J0 - sC
+    ti = (rI * Cj[q] - rJ * Bj[q]) / det[q]
+    tj = (Bi[q] * rJ - Ci[q] * rI) / det[q]
+    ok = (
+        (ti >= -_FEAS_TOL)
+        & (ti <= 1.0 + _FEAS_TOL)
+        & (tj >= -_FEAS_TOL)
+        & (tj <= 1.0 + _FEAS_TOL)
+    )
+    srt = np.argsort(q[ok] << m | pat[ok])
+    q = q[ok][srt]
+    return (pi[q], pj[q], pat[ok][srt], np.clip(ti[ok][srt], 0.0, 1.0),
+            np.clip(tj[ok][srt], 0.0, 1.0), sA[ok][srt])
+
+
 def _solve_exhaustive(cells, A, B, C, D, I0, J0):
     N = len(A)
     m = N - 2
-    patterns = ((np.arange(2**m)[:, None] >> np.arange(m)) & 1).astype(float)
-    scale_bc = max(np.abs(B).max(), np.abs(C).max(), 1e-300)
-
+    i, j, pat, ti, tj, base_l = _vertices(A, B, C, I0, J0)
+    lvals = base_l + ti * A[i] + tj * A[j]
+    qvals = (
+        base_l
+        + ti * (A[i] + D[i])
+        - ti * ti * D[i]
+        + tj * (A[j] + D[j])
+        - tj * tj * D[j]
+    )
+    # each pair offers its (at most 8) patterns within the tie tolerance of
+    # its own minimum, pairs in order and patterns in increasing order
+    first = np.diff(i * N + j, prepend=-1) != 0
+    starts = np.flatnonzero(first)
+    group = np.cumsum(first) - 1
     best_q = _Best()
     best_l = _Best()
-    idx_all = np.arange(N)
-    for i in range(N):
-        for j in range(i + 1, N):
-            det = B[i] * C[j] - B[j] * C[i]
-            if abs(det) < 1e-14 * scale_bc * scale_bc:
-                continue
-            others = idx_all[(idx_all != i) & (idx_all != j)]
-            rI = I0 - patterns @ B[others]
-            rJ = J0 - patterns @ C[others]
-            ti = (rI * C[j] - rJ * B[j]) / det
-            tj = (B[i] * rJ - C[i] * rI) / det
-            ok = (
-                (ti >= -_FEAS_TOL)
-                & (ti <= 1.0 + _FEAS_TOL)
-                & (tj >= -_FEAS_TOL)
-                & (tj <= 1.0 + _FEAS_TOL)
-            )
-            if not ok.any():
-                continue
-            ti = np.clip(ti[ok], 0.0, 1.0)
-            tj = np.clip(tj[ok], 0.0, 1.0)
-            pat = patterns[ok]
-            base_l = pat @ A[others]
-            lvals = base_l + ti * A[i] + tj * A[j]
-            qvals = (
-                base_l
-                + ti * (A[i] + D[i])
-                - ti * ti * D[i]
-                + tj * (A[j] + D[j])
-                - tj * tj * D[j]
-            )
-
-            def reconstruct(k):
-                tau = np.zeros(N)
-                tau[others] = pat[k]
-                tau[i] = ti[k]
-                tau[j] = tj[k]
-                return tuple(tau)
-
-            for vals, best in ((qvals, best_q), (lvals, best_l)):
-                lo = vals.min()
-                near = np.nonzero(vals <= lo + _TIE_TOL * (1.0 + abs(lo)))[0]
-                for k in near[:8]:
-                    best.offer(float(vals[k]), reconstruct(int(k)))
+    for vals, best in ((qvals, best_q), (lvals, best_l)):
+        if not len(vals):
+            break
+        lo = np.minimum.reduceat(vals, starts)[group]
+        near = vals <= lo + _TIE_TOL * (1.0 + np.abs(lo))
+        seen = np.cumsum(near)
+        rank = seen - np.concatenate(([0], seen[starts[1:] - 1]))[group]
+        sel = np.flatnonzero(near & (rank <= 8))
+        taus = np.zeros((len(sel), N))
+        rows = np.arange(len(sel))
+        taus[rows[:, None], _others(i[sel], j[sel], m)] = (
+            pat[sel, None] >> np.arange(m)) & 1
+        taus[rows, i[sel]] = ti[sel]
+        taus[rows, j[sel]] = tj[sel]
+        for s, tau in zip(sel, taus):
+            best.offer(float(vals[s]), tuple(tau))
 
     if best_q.tau is None:
         raise FeasibilityError(
@@ -350,8 +448,16 @@ def verify(res: ReservoirPair, I, J, N=16, window=None, tol=1e-8):
     continuous boxcar snapped to the grid, all pairwise gaps, and a
     PASS/FAIL verdict: FAIL when the continuous optimum exceeds the
     discrete one by more than the grid-resolution bound, or falls below
-    the refined-grid extrapolation of the discrete optimum by the same
+    the refined-grid extrapolation 2*refined_Q - discrete_Q by the same
     bound.
+
+    Only the upper check rests on a bound: a cell-constant transmission is
+    admissible, so var_opt <= discrete_Q.  The lower check does not.  The
+    2N cells are solved in LP mode, so refined_Q is the quadratic objective
+    at the 2N-cell LP vertex, not the 2N-cell minimum, and the
+    extrapolation is no lower bound on var_opt: the lower check is a
+    consistency check, not a certificate.  A sharp lower check,
+    from weak duality at the cell LP's multipliers, is ROADMAP item 6.
     """
     from .inverse import solve_multipliers
 

@@ -295,3 +295,136 @@ def test_grid_aligned_verify_small_gaps(fig2_res):
     assert rep["verdict"] == "PASS"
     assert abs(rep["gaps"]["snapped_minus_continuous"]) <= 1e-9
     assert abs(rep["gaps"]["Q_minus_continuous"]) <= 1e-8
+
+
+def _reference_exhaustive(A, B, C, D, I0, J0):
+    """The per-pair pattern-matrix enumeration: every binary pattern of
+    the cells other than (i, j), no pruning.  Returns the feasible
+    (i, j, pattern) set and the DiscreteSolution fields (tau, Q, tau_linear, L),
+    or None for them when nothing is feasible."""
+    from turbox.oracle import _FEAS_TOL, _TIE_TOL, _Best
+
+    N = len(A)
+    m = N - 2
+    patterns = ((np.arange(2**m)[:, None] >> np.arange(m)) & 1).astype(float)
+    scale_bc = max(np.abs(B).max(), np.abs(C).max(), 1e-300)
+    feasible = set()
+    best_q = _Best()
+    best_l = _Best()
+    idx_all = np.arange(N)
+    for i in range(N):
+        for j in range(i + 1, N):
+            det = B[i] * C[j] - B[j] * C[i]
+            if abs(det) < 1e-14 * scale_bc * scale_bc:
+                continue
+            others = idx_all[(idx_all != i) & (idx_all != j)]
+            rI = I0 - patterns @ B[others]
+            rJ = J0 - patterns @ C[others]
+            ti = (rI * C[j] - rJ * B[j]) / det
+            tj = (B[i] * rJ - C[i] * rI) / det
+            ok = (
+                (ti >= -_FEAS_TOL)
+                & (ti <= 1.0 + _FEAS_TOL)
+                & (tj >= -_FEAS_TOL)
+                & (tj <= 1.0 + _FEAS_TOL)
+            )
+            if not ok.any():
+                continue
+            feasible.update((i, j, int(p)) for p in np.flatnonzero(ok))
+            ti = np.clip(ti[ok], 0.0, 1.0)
+            tj = np.clip(tj[ok], 0.0, 1.0)
+            pat = patterns[ok]
+            base_l = pat @ A[others]
+            lvals = base_l + ti * A[i] + tj * A[j]
+            qvals = (
+                base_l
+                + ti * (A[i] + D[i])
+                - ti * ti * D[i]
+                + tj * (A[j] + D[j])
+                - tj * tj * D[j]
+            )
+
+            def reconstruct(k):
+                tau = np.zeros(N)
+                tau[others] = pat[k]
+                tau[i] = ti[k]
+                tau[j] = tj[k]
+                return tuple(tau)
+
+            for vals, best in ((qvals, best_q), (lvals, best_l)):
+                lo = vals.min()
+                near = np.nonzero(vals <= lo + _TIE_TOL * (1.0 + abs(lo)))[0]
+                for k in near[:8]:
+                    best.offer(float(vals[k]), reconstruct(int(k)))
+    return feasible, best_q.tau, best_q.value, best_l.tau, best_l.value
+
+
+def _exhaustive_cases():
+    """Seeded (cells, I0, J0) cases: targets B.tau, C.tau of random tau on
+    the reservoir's own grid, every tenth one infeasible, and two targets
+    that leave light window-edge cells free to tie."""
+    pairs = [
+        ReservoirPair.from_temperatures(1.0, 0.2, -1.0, 0.5),
+        FIG3G,
+        ReservoirPair(4.0, 0.3, -0.5, 1.5),
+        ReservoirPair(1.0, 1.0, -1.0, 1.0),
+        ReservoirPair(2.0, 2.0, -0.25, 0.25),
+    ]
+    rng = np.random.default_rng(7)
+    Ns = (2, 3) + tuple(range(6, 17))
+    out = []
+    for n_case in range(45):
+        res = pairs[n_case % len(pairs)]
+        N = Ns[n_case % len(Ns)]
+        cells = discretize(res, mass_window(res), N)
+        _, B, C, _ = cells.arrays()
+        if n_case % 10 == 9:
+            I0, J0 = 100.0, 0.0
+        else:
+            tau = rng.uniform(0.0, 1.0, size=N)
+            I0, J0 = float(B @ tau), float(C @ tau)
+        out.append((cells, I0, J0))
+    # on a wide window the outer cells carry under 1e-12 of the mass, so
+    # patterns that differ only there tie: 64 vertices at N = 12 and 256 at
+    # N = 16, with more than eight ties in several pairs
+    for N in (12, 16):
+        cells = discretize(pairs[0], (-60.0, 60.0), N)
+        _, B, C, _ = cells.arrays()
+        tau = np.zeros(N)
+        tau[N // 2 - 1: N // 2 + 1] = 1.0
+        tau[N // 2 + 1] = 0.4
+        out.append((cells, float(B @ tau), float(C @ tau)))
+    return out
+
+
+def test_exhaustive_matches_pattern_matrix_reference():
+    from turbox.oracle import _vertices
+
+    n_feasible = n_infeasible = 0
+    for cells, I0, J0 in _exhaustive_cases():
+        A, B, C, D = cells.arrays()
+        feasible, tau, Q, tau_l, L = _reference_exhaustive(A, B, C, D, I0, J0)
+        i, j, pat, _, _, _ = _vertices(A, B, C, I0, J0)
+        assert set(zip(i.tolist(), j.tolist(), pat.tolist())) == feasible
+        if tau is None:
+            with pytest.raises(FeasibilityError):
+                solve_discrete(cells, I0, J0, mode="exhaustive")
+            n_infeasible += 1
+            continue
+        d = solve_discrete(cells, I0, J0, mode="exhaustive")
+        assert d.Q == pytest.approx(Q, rel=1e-14, abs=1e-300)
+        assert d.L == pytest.approx(L, rel=1e-14, abs=1e-300)
+        assert np.allclose(d.tau, tau, rtol=0.0, atol=1e-12)
+        assert np.allclose(d.tau_linear, tau_l, rtol=0.0, atol=1e-12)
+        n_feasible += 1
+    assert n_feasible >= 35 and n_infeasible >= 4
+
+
+def test_mass_window_cache_matches_fresh_solve(fig2_res):
+    mass_window.cache_clear()
+    for res in (fig2_res, FIG3G):
+        for frac in (1e-6, 1e-8):
+            first = mass_window(res, frac)
+            assert mass_window(res, frac) is first
+            assert first == mass_window.__wrapped__(res, frac)
+    assert mass_window.cache_info().hits == 4
