@@ -30,8 +30,7 @@ import numpy as np
 
 from .boxcar import BoxcarSet, boxcar_integrals
 from .errors import FeasibilityError, FormulaMismatchError, SingularityError, ValidationError
-from .physics import (ReservoirPair, delta_f, fermi, fermi_tail_antiderivs,
-                      g_noise, interval_moments)
+from .physics import ReservoirPair, delta_f, fermi, fermi_tail_antiderivs, g_noise
 from .transport import ClosedFormTransmission
 
 __all__ = [
@@ -174,17 +173,15 @@ def symmetric_boxcar_width(beta, dmu, I_target):
     """Width a >= 0 of the boxcar [-a/2, a/2] carrying current I_target.
 
     Equal temperatures, mu_R = -mu_L = dmu/2; the integrand is
-    sign-definite so the width is unique and found by monotone bisection.
+    sign-definite, so the width is unique, and it has the closed form
+
+        a = (2/beta) ln[(r s - 1)/(s - r)],  r = e^{beta |I|/2},  s = e^{beta dmu/2}.
+
     The full-line current is -dmu; a target equal to it is reported as an
     unbounded boxcar (a = inf), larger magnitudes are infeasible.
     """
     if beta <= 0 or dmu <= 0:
         raise ValidationError("need beta > 0 and dmu > 0")
-    res = _symmetric_reservoirs(beta, dmu)
-
-    def current(a):
-        return interval_moments(res, -a / 2.0, a / 2.0)[0]
-
     full = -dmu  # current of the full line
     I_t = float(I_target)
     if I_t == 0.0:
@@ -198,21 +195,17 @@ def symmetric_boxcar_width(beta, dmu, I_target):
     if abs(I_t) >= abs(full) * (1.0 - 1e-12):
         return INF  # the full-line current is reached only by a = inf
 
-    lo, hi = 0.0, 2.0 / beta
-    while current(hi) > I_t:  # current decreases from 0 toward -dmu
-        lo = hi
-        hi *= 2.0
-        if hi > 1e4 * (1.0 / beta + dmu):
-            return INF
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if current(mid) > I_t:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * (1.0 + hi):
-            break
-    return 0.5 * (lo + hi)
+    # a = (2/beta) ln[(r s - 1)/(s - r)] with r = e^y, s = e^z, whose
+    # argument is 1 + q, q = (r - 1)(s + 1)/(s - r); it is formed from
+    # e^{-z} and e^{y-z} only, so it stays finite where s overflows
+    y = 0.5 * beta * abs(I_t)
+    z = 0.5 * beta * dmu
+    t = -math.expm1(y - z)  # 1 - r/s
+    if y < 1.0:
+        return (2.0 / beta) * math.log1p(math.expm1(y) * (1.0 + math.exp(-z)) / t)
+    # ln q, with ln(r - 1) = y + ln(1 - e^{-y}); then ln(1 + q) = ln q + ln(1 + 1/q)
+    log_q = y + math.log1p(-math.exp(-y)) + math.log1p(math.exp(-z)) - math.log(t)
+    return (2.0 / beta) * (log_q + math.log1p(math.exp(-log_q)))
 
 
 def _log_fermi_fluct(x):

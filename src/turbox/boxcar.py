@@ -283,25 +283,26 @@ def _workspace(res: ReservoirPair) -> _Workspace:
 
 
 def _df_g_scalar(res: ReservoirPair, e: float):
-    """Scalar fast path for (delta_f, g); hot loop of the root refinement."""
+    """Scalar fast path for (delta_f, g); hot loop of the root refinement.
+
+    Every exponential is exp(-|x|) of one bath, as in _fields, so none can
+    overflow at any energy."""
     xL = res.beta_L * (e - res.mu_L)
     xR = res.beta_R * (e - res.mu_R)
     d = xR - xL
-    if xL >= 0.0 and xR >= 0.0:
-        a = math.exp(-xL)
-        b = math.exp(-xR)
-        num = b * math.expm1(d) if abs(d) < 30.0 else a - b
-        df = num / ((1.0 + a) * (1.0 + b))
-    elif xL < 0.0 and xR < 0.0:
-        a = math.exp(xL)
-        b = math.exp(xR)
-        num = a * math.expm1(d) if abs(d) < 30.0 else b - a
-        df = num / ((1.0 + a) * (1.0 + b))
-    else:
-        df = 1.0 / (1.0 + math.exp(xL)) - 1.0 / (1.0 + math.exp(xR))
     eL = math.exp(-abs(xL))
     eR = math.exp(-abs(xR))
-    g = eL / (1.0 + eL) ** 2 + eR / (1.0 + eR) ** 2
+    pL = 1.0 + eL
+    pR = 1.0 + eR
+    if xL >= 0.0 and xR >= 0.0:
+        num = eR * math.expm1(d) if abs(d) < 30.0 else eL - eR
+        df = num / (pL * pR)
+    elif xL < 0.0 and xR < 0.0:
+        num = eL * math.expm1(d) if abs(d) < 30.0 else eR - eL
+        df = num / (pL * pR)
+    else:
+        df = (eL if xL >= 0.0 else 1.0) / pL - (eR if xR >= 0.0 else 1.0) / pR
+    g = eL / pL**2 + eR / pR**2
     return df, g
 
 

@@ -50,9 +50,11 @@ _XTOL_ROOT = 1e-12  # endpoint tolerance for boxcar root refinement
 
 
 # feasibility geometry is reused heavily by grid sweeps (same reservoir,
-# same I for a whole column of targets)
-_bounds_cached = functools.lru_cache(maxsize=1024)(current_bounds)
-_extrema_cached = functools.lru_cache(maxsize=8192)(j_extrema)
+# same I for a whole column of targets); a sweep over reservoirs never hits,
+# and a larger cache would only hold its misses
+_CACHE_SIZE = 64
+_bounds_cached = functools.lru_cache(maxsize=_CACHE_SIZE)(current_bounds)
+_extrema_cached = functools.lru_cache(maxsize=_CACHE_SIZE)(j_extrema)
 
 
 @dataclass(frozen=True)

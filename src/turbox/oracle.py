@@ -35,8 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, linprog
 
+from .boxcar import _fields
 from .errors import FeasibilityError, ValidationError
-from .physics import ReservoirPair, df_g_arrays, g_noise, interval_moments
+from .physics import ReservoirPair, g_noise, interval_moments
 from .quadrature import gk15_per_panel
 
 __all__ = [
@@ -139,7 +140,7 @@ def discretize(res: ReservoirPair, window, N) -> GridCells:
     )
     phi = plo + width / sub
 
-    kD, _ = gk15_per_panel(lambda x: df_g_arrays(res, x)[0] ** 2, plo, phi)
+    kD, _ = gk15_per_panel(lambda x: _fields(res, x)[0] ** 2, plo, phi)
     D = kD.reshape(N, sub).sum(axis=1)
     B, C, A = np.array([interval_moments(res, a, b) for a, b in zip(edges, edges[1:])]).T
     return GridCells(

@@ -12,7 +12,10 @@ The three fields that drive the rest of the library are
 
 All of them are evaluated through exponent-sign branches so they keep full
 relative accuracy deep into the Fermi tails (|beta (eps - mu)| up to ~700),
-where the naive f_L - f_R would round to zero already at ~37.
+where the naive f_L - f_R would round to zero already at ~37.  They are
+the reference: the forward solver and the transport quadrature take
+delta_f and g on arrays from the one fused kernel boxcar._fields, which
+is tested against them.
 
 Their integrals have closed forms, and interval_moments is the one place
 that takes them: the integrals of delta_f, eps*delta_f and g over any
@@ -256,25 +259,6 @@ def g_noise(res: ReservoirPair, eps):
         res.beta_R, res.mu_R, e_arr
     )
     return float(out) if scalar else out
-
-
-def df_g_arrays(res: ReservoirPair, eps):
-    """(delta_f, g) on a finite-energy array, branch-free.
-
-    Quadrature fast path: absolutely accurate everywhere (error ~1e-16 of
-    the local Fermi scale) but loses the deep-tail *relative* accuracy of
-    delta_f below |x| ~ 37, which integrals cannot see.  Root finding must
-    use delta_f/g_noise instead.
-    """
-    x = np.asarray(eps, dtype=float)
-    xL = res.beta_L * (x - res.mu_L)
-    xR = res.beta_R * (x - res.mu_R)
-    eL = np.exp(-np.abs(xL))
-    eR = np.exp(-np.abs(xR))
-    fL = np.where(xL >= 0.0, eL, 1.0) / (1.0 + eL)
-    fR = np.where(xR >= 0.0, eR, 1.0) / (1.0 + eR)
-    g = eL / (1.0 + eL) ** 2 + eR / (1.0 + eR) ** 2
-    return fL - fR, g
 
 
 def epsilon_zero(res: ReservoirPair):

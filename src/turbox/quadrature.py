@@ -1,9 +1,11 @@
 """Adaptive Gauss-Kronrod panel quadrature for exponentially decaying integrands.
 
 A single 15-point Kronrod rule with its embedded 7-point Gauss rule is
-applied per panel; the worst panel (largest |K15 - G7|) is split until the
-summed error estimate meets tolerance.  Integrands are numpy-vectorized
-callables, so each panel costs one array evaluation.
+applied per panel.  Several integrands share the panels: level by level,
+every panel whose |K15 - G7| exceeds its width's share of some integrand's
+tolerance is halved, until each summed error estimate meets its own
+tolerance.  Integrands are numpy-vectorized callables, so each level costs
+one array evaluation for all of its panels.
 
 Infinite bounds never reach this module: callers truncate at a reservoir
 "horizon" where the integrand has decayed below representability and add an
@@ -12,14 +14,13 @@ analytic exponential tail bound to the error estimate (`tail_moment_bound`).
 
 from __future__ import annotations
 
-import heapq
 import math
 
 import numpy as np
 
 from .errors import ConvergenceError
 
-__all__ = ["gk15", "adaptive_panels", "tail_moment_bound"]
+__all__ = ["gk15_per_panel", "adaptive_panels", "tail_moment_bound"]
 
 # Kronrod-15 abscissae on [-1, 1] (symmetric; only the non-negative half).
 _XK = np.array(
@@ -66,25 +67,20 @@ for _i, _w in zip((1, 3, 5, 7), _WG):
 del _i, _w
 
 
-def gk15(f, a, b):
-    """One Kronrod-15 panel over [a, b]: returns (K15 value, |K15 - G7|)."""
-    h = 0.5 * (b - a)
-    x = 0.5 * (a + b) + h * _NODES
-    y = np.asarray(f(x), dtype=float)
-    k = h * float(np.dot(_WEIGHTS_K, y))
-    g = h * float(np.dot(_WEIGHTS_G, y))
-    return k, abs(k - g)
-
-
 def gk15_per_panel(f, lo, hi):
     """Kronrod-15 on the panels [lo_k, hi_k] with a single integrand
-    evaluation: the per-panel K15 values and their |K15 - G7| estimates."""
+    evaluation: the per-panel K15 values and their |K15 - G7| estimates.
+
+    `f` maps the flat array of nodes to one value per node, shape (n,), or
+    to m values per node, shape (m, n); the results then have shape (k,)
+    or (m, k) for k panels."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     h = 0.5 * (hi - lo)
     c = 0.5 * (hi + lo)
     x = c[:, None] + h[:, None] * _NODES[None, :]
-    y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    y = np.asarray(f(x.ravel()), dtype=float)
+    y = y.reshape(y.shape[:-1] + x.shape)
     k = h * (y @ _WEIGHTS_K)
     g = h * (y @ _WEIGHTS_G)
     return k, np.abs(k - g)
@@ -99,61 +95,58 @@ def adaptive_panels(
     breakpoints=(),
     max_panels=1024,
 ):
-    """Integrate a vectorized callable over the finite interval [a, b].
+    """Integrate m integrands at once over the finite interval [a, b], a < b.
 
-    `breakpoints` are interior points (discontinuities of the integrand)
-    used to seed the initial panelization.  Returns (value, error_estimate);
-    raises ConvergenceError (carrying the estimate) if the panel budget is
-    exhausted before the estimate meets max(abstol, reltol * |value|).
+    `f` maps an energy array of shape (n,) to an (m, n) array.
+    `breakpoints` are interior points (discontinuities of the integrands)
+    used to seed the initial panelization.  Returns (values, errors), each
+    of shape (m,).  Integrand i converges when its summed estimate meets
+    tol_i = max(abstol, reltol * |value_i|); until all do, every panel
+    whose estimate for some integrand exceeds its width's share of that
+    tol_i is halved, all halves in one gk15_per_panel call.  Raises
+    ConvergenceError, carrying the errors, if that would take more than
+    `max_panels` panel evaluations.
     """
-    if a == b:
-        return 0.0, 0.0
-    if b < a:
-        v, e = adaptive_panels(f, b, a, abstol, reltol, breakpoints, max_panels)
-        return -v, e
-
-    pts = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
-    heap = []
-    count = 0
-    total = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        v, e = gk15(f, lo, hi)
-        total += v
-        # heap orders by -error; counter breaks ties deterministically
-        heapq.heappush(heap, (-e, count, lo, hi, v))
-        count += 1
-
-    # running error total; on apparent convergence it is re-summed exactly,
-    # so rounding drift can cost one extra split but never an early stop
-    err = -sum(item[0] for item in heap)
+    edges = np.array([a] + sorted(p for p in set(breakpoints) if a < p < b) + [b],
+                     dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    val, err = gk15_per_panel(f, lo, hi)
+    count = lo.size
     while True:
-        if err <= max(abstol, reltol * abs(total)):
-            err = -sum(item[0] for item in heap)
-            if err <= max(abstol, reltol * abs(total)):
-                return total, err
-        if count >= max_panels:
-            raise ConvergenceError(
-                f"quadrature did not converge: error estimate {err:.3e} "
-                f"after {count} panels on [{a}, {b}]",
-                estimate=err,
-            )
-        neg_e, _, lo, hi, v = heapq.heappop(heap)
-        err += neg_e
+        total = val.sum(axis=1)
+        err_sum = err.sum(axis=1)
+        tol = np.maximum(abstol, reltol * np.abs(total))
+        failing = err_sum > tol
+        if not failing.any():
+            return total, err_sum
+        split = np.any(err * (b - a) > tol[:, None] * (hi - lo), axis=0)
+        if not split.any():
+            # the shares hold but their rounded sum does not: take the worst
+            split[np.argmax(err[failing].max(axis=0))] = True
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # panel at floating-point resolution; keep its estimate and stop
-            # splitting it
-            heapq.heappush(heap, (0.0, count, lo, hi, v))
-            count += 1
+        stuck = split & ((mid <= lo) | (mid >= hi))
+        # panels at floating-point resolution cannot be split: keep their
+        # values and drop their estimates
+        err[:, stuck] = 0.0
+        split &= ~stuck
+        n = int(np.count_nonzero(split))
+        if count + 2 * n > max_panels:
+            raise ConvergenceError(
+                f"quadrature did not converge: error estimate {err_sum.max():.3e} "
+                f"after {count} panels on [{a}, {b}]",
+                estimate=err_sum,
+            )
+        if n == 0:
             continue
-        v1, e1 = gk15(f, lo, mid)
-        v2, e2 = gk15(f, mid, hi)
-        total += v1 + v2 - v
-        err += e1 + e2
-        heapq.heappush(heap, (-e1, count, lo, mid, v1))
-        count += 1
-        heapq.heappush(heap, (-e2, count, mid, hi, v2))
-        count += 1
+        keep = ~split
+        new_lo = np.concatenate((lo[split], mid[split]))
+        new_hi = np.concatenate((mid[split], hi[split]))
+        v, e = gk15_per_panel(f, new_lo, new_hi)
+        lo = np.concatenate((lo[keep], new_lo))
+        hi = np.concatenate((hi[keep], new_hi))
+        val = np.concatenate((val[:, keep], v), axis=1)
+        err = np.concatenate((err[:, keep], e), axis=1)
+        count += 2 * n
 
 
 def tail_moment_bound(beta, mu, w, moment, side):

@@ -1,9 +1,11 @@
 """Landauer-Buttiker functionals for arbitrary transmission functions.
 
 Currents, particle-current variance, entropy production and engine
-diagnostics, via adaptive Gauss-Kronrod panels over the effective support
-window (all integrands decay like e^{-beta |eps|}; the neglected tails are
-bounded analytically and folded into the reported error estimate).
+diagnostics.  I, J and the variance come from one adaptive Gauss-Kronrod
+pass over the effective support window, whose panels serve all three
+integrands, with delta_f and g from the same kernel as the boxcar module
+(all integrands decay like e^{-beta |eps|}; the neglected tails are
+bounded analytically and folded into the reported error estimates).
 
 The variance integrand is evaluated through the identity
 
@@ -20,9 +22,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .boxcar import BoxcarSet, _workspace
+from .boxcar import BoxcarSet, _fields, _workspace
 from .errors import ValidationError
-from .physics import ReservoirPair, df_g_arrays
+from .physics import ReservoirPair
 from .quadrature import adaptive_panels, tail_moment_bound
 
 __all__ = [
@@ -210,13 +212,6 @@ def _validate_on_grid(T: Transmission, lo, hi):
         )
 
 
-def _window_and_breaks(T: Transmission, res: ReservoirPair):
-    ws = _workspace(res)
-    lo, hi = ws.quad_lo, ws.quad_hi
-    brk = sorted(p for p in T.breakpoints() if lo < p < hi)
-    return lo, hi, brk
-
-
 def _tail_budget(res, lo, hi, moment):
     b = 0.0
     for beta, mu in ((res.beta_L, res.mu_L), (res.beta_R, res.mu_R)):
@@ -225,55 +220,57 @@ def _tail_budget(res, lo, hi, moment):
     return b
 
 
+def _integrals(T: Transmission, res: ReservoirPair, abstol, reltol):
+    """(I, J, V) and their error bounds from one adaptive pass over the
+    window; the bounds add the analytic tail budgets to the panel estimates."""
+    ws = _workspace(res)
+    lo, hi = ws.quad_lo, ws.quad_hi
+    _validate_on_grid(T, lo, hi)
+
+    def integrands(x):
+        t = np.asarray(T(x))
+        df, g = _fields(res, x)[:2]
+        tdf = t * df
+        return np.stack((tdf, x * tdf, t * g + t * (1.0 - t) * df * df))
+
+    (I, J, V), (e_I, e_J, e_V) = adaptive_panels(
+        integrands, lo, hi, abstol, reltol, breakpoints=T.breakpoints()
+    )
+    tail_0 = _tail_budget(res, lo, hi, 0)
+    return ((float(I), float(J), float(V)),
+            (float(e_I) + tail_0, float(e_J) + _tail_budget(res, lo, hi, 1),
+             float(e_V) + tail_0))
+
+
 def currents(T: Transmission, res: ReservoirPair, abstol=1e-10, reltol=1e-8,
              full_output=False):
     """Particle and energy currents (I, J) for a transmission function.
 
     Each integral is converged to the requested tolerances by adaptive
-    panels; a ConvergenceError carries the error estimate if the panel
+    panels; a ConvergenceError carries the error estimates if the panel
     budget runs out.  With full_output=True, returns
     ((I, J), (err_I, err_J)) where the errors combine the panel estimates
     with the analytic bound on the truncated exponential tails.
     """
-    lo, hi, brk = _window_and_breaks(T, res)
-    _validate_on_grid(T, lo, hi)
-
-    def i_integrand(x):
-        return np.asarray(T(x)) * df_g_arrays(res, x)[0]
-
-    def j_integrand(x):
-        return np.asarray(T(x)) * x * df_g_arrays(res, x)[0]
-
-    I, e_I = adaptive_panels(i_integrand, lo, hi, abstol, reltol, breakpoints=brk)
-    J, e_J = adaptive_panels(j_integrand, lo, hi, abstol, reltol, breakpoints=brk)
+    (I, J, _), (e_I, e_J, _) = _integrals(T, res, abstol, reltol)
     if full_output:
-        return (I, J), (e_I + _tail_budget(res, lo, hi, 0),
-                        e_J + _tail_budget(res, lo, hi, 1))
+        return (I, J), (e_I, e_J)
     return I, J
 
 
 def variance(T: Transmission, res: ReservoirPair, abstol=1e-10, reltol=1e-8,
              full_output=False):
     """Particle-current variance for a transmission function (nonnegative)."""
-    lo, hi, brk = _window_and_breaks(T, res)
-    _validate_on_grid(T, lo, hi)
-
-    def v_integrand(x):
-        t = np.asarray(T(x))
-        df, g = df_g_arrays(res, x)
-        return t * g + t * (1.0 - t) * df * df
-
-    V, e_V = adaptive_panels(v_integrand, lo, hi, abstol, reltol, breakpoints=brk)
+    (_, _, V), (_, _, e_V) = _integrals(T, res, abstol, reltol)
     if full_output:
-        return V, e_V + _tail_budget(res, lo, hi, 0)
+        return V, e_V
     return V
 
 
 def summary(T: Transmission, res: ReservoirPair, abstol=1e-10, reltol=1e-8):
     """Full TransportSummary: currents, variance, entropy rate, power, heats,
     efficiency (engine regime only), Fano factor and TUR ratio."""
-    I, J = currents(T, res, abstol, reltol)
-    var_I = variance(T, res, abstol, reltol)
+    (I, J, var_I), _ = _integrals(T, res, abstol, reltol)
     sigma = -res.delta_beta * J + res.delta_beta_mu * I
     P = -res.delta_mu * I
     J_Q_L = J - res.mu_L * I

@@ -97,6 +97,35 @@ def test_symmetric_width_limits():
         symmetric_boxcar_width(1.0, 2.0, +0.5)  # wrong sign
 
 
+def test_symmetric_width_matches_mpmath():
+    # the closed form at 40 digits, itself checked against the exact
+    # current of the Fermi antiderivative; the 200-step bisection it
+    # replaced was off by up to 9e-8 relative on these cases
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    rng = np.random.default_rng(7)
+    cases = [
+        (float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.05, 10.0)),
+         0.999 * 10.0 ** rng.uniform(-8.0, 0.0))
+        for _ in range(600)
+    ]
+    cases += [(4.0, 400.0, 1e-3), (4.0, 400.0, 0.9975)]  # e^{beta dmu/2} overflows
+
+    def fermi_integral(b, mu, e):  # antiderivative of 1/(1 + e^{b(e - mu)})
+        return e - mp.log1p(mp.exp(b * (e - mu))) / b
+
+    for beta, dmu, frac in cases:
+        I_t = -frac * dmu
+        a = symmetric_boxcar_width(beta, dmu, I_t)
+        b, d = mp.mpf(beta), mp.mpf(dmu)
+        r, s = mp.exp(-b * mp.mpf(I_t) / 2), mp.exp(b * d / 2)
+        a_ref = 2 / b * mp.log((r * s - 1) / (s - r))
+        I_ref = sum(sgn * (fermi_integral(b, mu, a_ref / 2) - fermi_integral(b, mu, -a_ref / 2))
+                    for sgn, mu in ((1, -d / 2), (-1, d / 2)))
+        assert abs(I_ref - mp.mpf(I_t)) <= mp.mpf(10) ** -30 * abs(I_t)
+        assert abs(a - a_ref) <= 1e-14 * a_ref
+
+
 def test_fano_opt_matches_integrals(rng):
     # the ratio reading of the closed form reproduces the defining
     # integrals (the function itself cross-checks to 1e-6; verify to 1e-9)

@@ -28,6 +28,7 @@ from turbox import (
 )
 from turbox.boxcar import (
     _CORE_X,
+    _df_g_scalar,
     _fields,
     _find_tail_root,
     _hull,
@@ -253,6 +254,31 @@ def test_fields_match_physics(rng):
         fd_noise = 4e-16 * (np.abs(df_ref) + g_ref) / h
         assert np.all(np.abs(dfp - fd_df) <= 1e-6 * scale + fd_noise)
         assert np.all(np.abs(gp - fd_g) <= 1e-6 * scale + fd_noise)
+
+
+def test_scalar_fields_match_fields(rng):
+    # the scalar kernels of the root refinement against _fields, across the
+    # scan window, on pairs with beta ratios up to 300, where the mixed-sign
+    # branch used to overflow in exp(x)
+    pairs = [_random_pair(rng) for _ in range(40)]
+    pairs.append(ReservoirPair(1.176215324418072, 281.026058483668,
+                               0.8855449980574042, -1.8127497882354477))
+    for res in pairs:
+        # the solver's own scan nodes: dense in the core, between the mus
+        x = _workspace(res).nodes
+        df, g, dfp, gp = _fields(res, x)
+        lam, eta = (float(v) for v in rng.normal(0.0, 3.0, size=2))
+        for k, e in enumerate(x):
+            e = float(e)
+            df_s, g_s = _df_g_scalar(res, e)
+            # opposite exponent signs leave a difference of two O(1) Fermi
+            # factors, exact only to a few ulps of 1
+            assert abs(df_s - df[k]) <= 1e-13 * abs(df[k]) + 1e-15
+            assert abs(g_s - g[k]) <= 1e-13 * g[k]
+            rp = gp[k] - lam * df[k] - (lam * e + eta) * dfp[k]
+            size = abs(gp[k]) + abs(lam * df[k]) + abs((lam * e + eta) * dfp[k])
+            assert abs(_rprime_scalar(res, lam, eta, e) - rp) <= (
+                1e-12 * size + 1e-15 * abs(lam))
 
 
 def _tangent_multipliers(res, e):

@@ -1,5 +1,7 @@
 """Inverse map tests: round trips, boundary behavior, dominance, convexity."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -277,3 +279,47 @@ def test_forward_solve_count(fig2_res, monkeypatch):
         _assert_meets_tolerances(fig2_res, I, J)
     assert np.median(counts) <= 40
     assert max(counts) <= 80
+
+
+def test_extreme_beta_ratio_solves():
+    # beta ratio ~240: the forward solve's scalar fields raised OverflowError
+    # in exp(x) for x > 709 while brentq refined a root
+    res = ReservoirPair(1.176215324418072, 281.026058483668,
+                        0.8855449980574042, -1.8127497882354477)
+    I, J = 2.1412237089946213, 0.4231254252724086
+    _assert_meets_tolerances(res, I, J)
+    assert solve_multipliers(res, I, J).signature() == (3, True, True)
+
+
+def test_equal_beta_fuzz_miss_solves_or_raises():
+    # a 1e-4-inset target on an equal-beta pair that missed atol_J (|dJ| =
+    # 7.9e-12 against 2.7e-12) in a fuzz over reservoirs
+    res = ReservoirPair(1.4689158048213888, 1.4689158048213888,
+                        -0.3880586014532219, -0.3987761421284475)
+    I, J = 0.008318679579212736, -0.00026875493701727926
+    try:
+        _assert_meets_tolerances(res, I, J)
+    except ConvergenceError as err:
+        assert err.estimate is not None
+
+
+def test_inverse_fuzz_over_reservoirs():
+    # a third of the pairs at equal beta, the rest with beta ratios up to
+    # 300; every interior target either solves within its tolerances or
+    # raises one of the two documented errors, and nothing else escapes
+    rng = np.random.default_rng(12)
+    for k in range(60):
+        beta_L = 10.0 ** rng.uniform(-1.0, 0.5)
+        if k % 3 == 0:
+            beta_R = beta_L
+        else:
+            ratio = 10.0 ** rng.uniform(0.0, math.log10(300.0))
+            beta_R = beta_L * ratio if rng.random() < 0.5 else beta_L / ratio
+        mu_L, mu_R = (float(v) for v in rng.uniform(-2.0, 2.0, size=2))
+        res = ReservoirPair(beta_L, beta_R, mu_L, mu_R)
+        for margin in (0.02, 0.02, 1e-4, 1e-4):
+            I, J = random_interior_target(rng, res, margin=margin)
+            try:
+                _assert_meets_tolerances(res, I, J)
+            except (ConvergenceError, FeasibilityError):
+                pass  # a reported failure; any other exception fails the test

@@ -9,16 +9,22 @@ from turbox import (
     BoxcarSet,
     BoxcarTransmission,
     ClosedFormTransmission,
+    ConvergenceError,
     ReservoirPair,
     TabulatedTransmission,
     ValidationError,
     boxcar_integrals,
     currents,
+    delta_f,
+    dqd_transmission,
+    g_noise,
     load_transmission_csv,
     summary,
     variance,
 )
+from turbox.boxcar import _workspace
 from turbox.physics import interval_moments
+from turbox.quadrature import adaptive_panels
 from conftest import random_boxcar, random_reservoir, random_tabulated
 
 FULL_LINE = BoxcarTransmission(BoxcarSet(((-math.inf, math.inf),)))
@@ -98,6 +104,44 @@ def test_quadrature_self_consistency(fig2_res, rng):
     V1, eV = variance(T, fig2_res, abstol=1e-8, reltol=1e-6, full_output=True)
     V2 = variance(T, fig2_res, abstol=5e-9, reltol=5e-7)
     assert abs(V1 - V2) <= eV
+
+
+@pytest.mark.parametrize("Omega", [0.03, 0.3])  # single and split resonance
+@pytest.mark.parametrize("dmu", [0.1, 2.0, 40.0])
+def test_summary_matches_scipy_quad_on_double_dot(Omega, dmu):
+    # the one vector pass against scipy's scalar quad per integrand, with
+    # the resonances as points and the reference fields delta_f and g_noise
+    from scipy.integrate import quad
+
+    T = dqd_transmission(0.1, Omega, 0.0)
+    res = ReservoirPair(2.0, 2.0, -dmu / 2.0, dmu / 2.0)
+    ws = _workspace(res)
+    integrands = (
+        lambda e: T(e) * delta_f(res, e),
+        lambda e: e * T(e) * delta_f(res, e),
+        lambda e: T(e) * g_noise(res, e) + T(e) * (1.0 - T(e)) * delta_f(res, e) ** 2,
+    )
+    s = summary(T, res)
+    for value, f in zip((s.I, s.J, s.var_I), integrands):
+        ref, _ = quad(f, ws.quad_lo, ws.quad_hi, points=T.breakpoints(),
+                      epsabs=1e-14, epsrel=1e-12, limit=400)
+        assert abs(value - ref) <= max(1e-10, 1e-8 * abs(ref))
+
+
+def test_panel_budget_exhausted_raises_with_estimates():
+    # a peak of width 1e-4 on [-1, 1] that no seed panel resolves
+    def f(x):
+        peak = 1e-8 / (x * x + 1e-8)
+        return np.stack((peak, x * peak))
+
+    values, errors = adaptive_panels(f, -1.0, 1.0)
+    assert values[0] == pytest.approx(2e-4 * math.atan(1e4), rel=1e-8)
+    assert abs(values[1]) <= 1e-10
+    with pytest.raises(ConvergenceError) as info:
+        adaptive_panels(f, -1.0, 1.0, max_panels=8)
+    est = info.value.estimate
+    assert est.shape == (2,)
+    assert est[0] > max(1e-10, 1e-8 * values[0])
 
 
 def test_summary_identities(fig2_res, rng):
