@@ -19,10 +19,7 @@ from .analysis import (
 from .boxcar import (
     BoxcarSet,
     Multipliers,
-    boxcar_current,
-    boxcar_energy_current,
     boxcar_integrals,
-    boxcar_variance,
     multiplier_jacobian,
     residual,
     solve_boxcar,

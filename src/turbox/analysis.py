@@ -52,6 +52,7 @@ __all__ = [
 LOG_ARGUMENT_READING = "ratio"
 
 INF = math.inf
+_CHECK_TOL = 1e-6  # relative tolerance of fano_opt_symmetric's cross-check
 
 
 @dataclass(frozen=True)
@@ -214,12 +215,12 @@ def _log_fermi_fluct(x):
     return -ax - 2.0 * math.log1p(math.exp(-ax))
 
 
-def fano_opt_symmetric(beta, dmu, a, check_tol=1e-6):
+def fano_opt_symmetric(beta, dmu, a):
     """Closed-form optimal Fano factor of the symmetric boxcar [-a/2, a/2].
 
     Evaluates 2 (1 - f_L - f_R) / ln[f_R(1-f_R) / (f_L(1-f_L))] at the
     right edge and cross-checks it against the defining integrals; a
-    disagreement beyond `check_tol` (relative) raises
+    disagreement beyond _CHECK_TOL (relative) raises
     FormulaMismatchError.  The degenerate a -> 0 limit is the ratio of the
     integrand densities at the origin.
     """
@@ -245,7 +246,7 @@ def fano_opt_symmetric(beta, dmu, a, check_tol=1e-6):
     B = BoxcarSet(((-a / 2.0, a / 2.0),))
     I, _, V = boxcar_integrals(res, B)
     numeric = V / abs(I)
-    if abs(closed - numeric) > check_tol * abs(numeric):
+    if abs(closed - numeric) > _CHECK_TOL * abs(numeric):
         raise FormulaMismatchError(
             f"closed-form Fano {closed!r} disagrees with the defining "
             f"integrals {numeric!r} (beta={beta}, dmu={dmu}, a={a}); "

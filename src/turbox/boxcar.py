@@ -38,14 +38,12 @@ __all__ = [
     "Multipliers",
     "residual",
     "solve_boxcar",
-    "boxcar_current",
-    "boxcar_energy_current",
-    "boxcar_variance",
     "boxcar_integrals",
     "multiplier_jacobian",
 ]
 
 INF = math.inf
+_XTOL = 1e-12  # endpoint tolerance, in eps, of every boxcar root
 
 
 @dataclass(frozen=True)
@@ -509,11 +507,11 @@ def _hermite_extremum(x0, x1, r0, r1, m0, m1):
     return x0 + t * h, p, 16.0 * s * (1.0 - t) ** 2
 
 
-def solve_boxcar(res: ReservoirPair, m: Multipliers, xtol=1e-12) -> BoxcarSet:
+def solve_boxcar(res: ReservoirPair, m: Multipliers) -> BoxcarSet:
     """Closure of {eps : g(eps) < (lam eps + eta) delta_f(eps)} as a BoxcarSet.
 
     Sign-scans R on a cached grid (refined near eps0 and near the zero of the
-    line), brackets every sign change, refines each root to `xtol` in eps,
+    line), brackets every sign change, refines each root to _XTOL in eps,
     and classifies the two tails asymptotically.  Touching intervals are
     merged; the empty set is a valid result.
     """
@@ -549,7 +547,7 @@ def solve_boxcar(res: ReservoirPair, m: Multipliers, xtol=1e-12) -> BoxcarSet:
         neg = r < 0.0  # exact node zeros count as outside
         same = neg[:-1] == neg[1:]
         idx = np.flatnonzero(~same)
-        roots = [_root(rfun, nodes[i], nodes[i + 1], r[i], r[i + 1], xtol) for i in idx]
+        roots = [_root(rfun, nodes[i], nodes[i + 1], r[i], r[i + 1], _XTOL) for i in idx]
 
         # tangency guard: a dip of R toward zero may fit between two nodes
         # of equal sign; it is betrayed by R' changing sign across the gap
@@ -579,8 +577,8 @@ def solve_boxcar(res: ReservoirPair, m: Multipliers, xtol=1e-12) -> BoxcarSet:
                 r_ext = rfun(x_ext)
             if r_ext == 0.0 or (r_ext < 0.0) == (r0 < 0.0):
                 continue
-            roots.append(_root(rfun, x0, x_ext, r0, r_ext, xtol))
-            roots.append(_root(rfun, x_ext, x1, r_ext, r1, xtol))
+            roots.append(_root(rfun, x0, x_ext, r0, r_ext, _XTOL))
+            roots.append(_root(rfun, x_ext, x1, r_ext, r1, _XTOL))
         roots.sort()
         return roots
 
@@ -591,9 +589,9 @@ def solve_boxcar(res: ReservoirPair, m: Multipliers, xtol=1e-12) -> BoxcarSet:
         roots = roots_from_scan(nodes, r, rp)
         # roots hiding between the scan edge and infinity (B_0 neighbourhood)
         if left_in != (r[0] < 0.0):
-            roots.insert(0, _find_tail_root(ws, lam, eta, -1, nodes[0], r[0], xtol))
+            roots.insert(0, _find_tail_root(ws, lam, eta, -1, nodes[0], r[0], _XTOL))
         if right_in != (r[-1] < 0.0):
-            roots.append(_find_tail_root(ws, lam, eta, +1, nodes[-1], r[-1], xtol))
+            roots.append(_find_tail_root(ws, lam, eta, +1, nodes[-1], r[-1], _XTOL))
         return roots
 
     roots = with_tail_roots(nodes, r, rp)
@@ -613,7 +611,7 @@ def solve_boxcar(res: ReservoirPair, m: Multipliers, xtol=1e-12) -> BoxcarSet:
             # the alternation
             deduped = []
             for rt in roots:
-                if deduped and rt - deduped[-1] <= 64.0 * xtol * (1.0 + abs(rt)):
+                if deduped and rt - deduped[-1] <= 64.0 * _XTOL * (1.0 + abs(rt)):
                     continue  # keep a single root of the machine-width pair
                 deduped.append(rt)
             if not parity_bad(deduped):
@@ -642,7 +640,7 @@ def solve_boxcar(res: ReservoirPair, m: Multipliers, xtol=1e-12) -> BoxcarSet:
 
     # merge across zero-width gaps, drop zero-width intervals
     def tol_at(e):
-        return 16.0 * max(xtol, 1e-15) * (1.0 + abs(e))
+        return 16.0 * _XTOL * (1.0 + abs(e))
 
     merged = []
     for a, b in pieces:
@@ -663,8 +661,11 @@ def solve_boxcar(res: ReservoirPair, m: Multipliers, xtol=1e-12) -> BoxcarSet:
 # ---------------------------------------------------------------------------
 
 
-def _moments(res, B):
-    """(I, J, var) over a boxcar set, summed from physics.interval_moments."""
+def boxcar_integrals(res: ReservoirPair, B: BoxcarSet):
+    """(I, J, var) over a boxcar set: the integrals of delta_f, eps*delta_f
+    and g, each exact and finite on semi-infinite intervals, summed from
+    physics.interval_moments (T^2 = T on a boxcar, so the integral of g is
+    the variance)."""
     I = J = V = 0.0
     for a, b in B.intervals:
         i, j, v = interval_moments(res, a, b)
@@ -672,28 +673,6 @@ def _moments(res, B):
         J += j
         V += v
     return I, J, V
-
-
-def boxcar_current(res: ReservoirPair, B: BoxcarSet):
-    """Particle current over a boxcar set (exact)."""
-    return _moments(res, B)[0]
-
-
-def boxcar_energy_current(res: ReservoirPair, B: BoxcarSet):
-    """Energy current over a boxcar set (exact)."""
-    return _moments(res, B)[1]
-
-
-def boxcar_variance(res: ReservoirPair, B: BoxcarSet):
-    """Variance over a boxcar set: the exact integral of g (T^2 = T there)."""
-    return _moments(res, B)[2]
-
-
-def boxcar_integrals(res: ReservoirPair, B: BoxcarSet):
-    """(I, J, var) over a boxcar set: the integrals of delta_f, eps*delta_f
-    and g, each exact and finite on semi-infinite intervals (see
-    physics.interval_moments)."""
-    return _moments(res, B)
 
 
 def multiplier_jacobian(

@@ -46,9 +46,6 @@ from .region import current_bounds, j_extrema
 
 __all__ = ["OptimalSolution", "solve_multipliers", "optimal_variance"]
 
-_XTOL_ROOT = 1e-12  # endpoint tolerance for boxcar root refinement
-
-
 # feasibility geometry is reused heavily by grid sweeps (same reservoir,
 # same I for a whole column of targets); a sweep over reservoirs never hits,
 # and a larger cache would only hold its misses
@@ -206,7 +203,7 @@ def solve_multipliers(
         J_t = min(max(J_t, ex.J_min + inset_J), ex.J_max - inset_J)
 
     def inner(lam, eta):
-        B = solve_boxcar(res, Multipliers(lam, eta), xtol=_XTOL_ROOT)
+        B = solve_boxcar(res, Multipliers(lam, eta))
         moments = boxcar_integrals(res, B)
         jac = _jacobian(res, lam, eta, B)
         return (I_t - moments[0], None if jac is None else -jac[0],
@@ -247,7 +244,7 @@ def solve_multipliers(
     I = moments[0]
     if jac is not None and I != I_t:
         eta_n = eta + (I_t - I) / jac[0]
-        B_n = solve_boxcar(res, Multipliers(lam, eta_n), xtol=_XTOL_ROOT)
+        B_n = solve_boxcar(res, Multipliers(lam, eta_n))
         moments_n = boxcar_integrals(res, B_n)
         if abs(moments_n[0] - I_t) < abs(I - I_t):
             eta, B, moments = eta_n, B_n, moments_n

@@ -11,9 +11,11 @@ pattern is dropped only when no completion of it can put the two free
 cells in [0, 1], with a rounding slack, so the pruning is conservative and
 every vertex an unpruned enumeration accepts is still visited and tested
 the same way.  The linearized objective sum(tau_i A_i) is minimized the
-same way (or by an LP for larger N); the quadratic and linear optima
-bracket the continuous minimal variance up to an explicit grid-resolution
-bound.
+same way, or by an LP beyond EXHAUSTIVE_CAP = 16 cells.  One rule picks
+each optimum: its value is the exact minimum over all vertices, and its
+tau the lexicographically smallest vertex within _TIE_TOL * (1 + |min|)
+of it.  The quadratic and linear optima bracket the continuous minimal
+variance up to an explicit grid-resolution bound.
 
 Per-cell data:
 
@@ -174,58 +176,20 @@ def boxcar_defect(cells: GridCells, tau):
     return float(np.dot(np.asarray(cells.D), t * (1.0 - t)))
 
 
-def _lex_less(a, b):
-    for x, y in zip(a, b):
-        if x < y - 1e-15:
-            return True
-        if x > y + 1e-15:
-            return False
-    return False
-
-
-class _Best:
-    """Running minimum with lexicographically-smallest tie-breaking."""
-
-    def __init__(self):
-        self.value = math.inf
-        self.tau = None
-
-    def offer(self, value, tau):
-        if self.tau is None:
-            self.value = value
-            self.tau = tau
-            return
-        tol = _TIE_TOL * (1.0 + abs(self.value))
-        if value < self.value - tol:
-            self.value = value
-            self.tau = tau
-        elif value <= self.value + tol and _lex_less(tau, self.tau):
-            self.value = min(self.value, value)
-            self.tau = tau
-
-
-def solve_discrete(cells: GridCells, I0, J0, mode="auto") -> DiscreteSolution:
+def solve_discrete(cells: GridCells, I0, J0) -> DiscreteSolution:
     """Minimize the quadratic and linearized objectives over the polytope.
 
-    mode "exhaustive" enumerates every vertex (N <= 16) by branch and
-    bound, and takes the minimum of each objective over the vertices.  The
-    pruning only drops partial patterns whose every completion leaves a
-    free cell outside [0, 1] by more than a rounding slack, so the vertices
-    tested, and the optima, are those of an unpruned enumeration.  "lp"
-    solves only the linear program (valid at any N, with the quadratic
-    value evaluated at the LP vertex); "auto" picks exhaustive when
-    affordable.
+    Up to EXHAUSTIVE_CAP cells, every vertex is enumerated by branch and
+    bound.  The pruning only drops partial patterns whose every completion
+    leaves a free cell outside [0, 1] by more than a rounding slack, so the
+    vertices tested are those of an unpruned enumeration.  Each objective's
+    value is then its exact minimum over all vertices, and its tau is the
+    lexicographically smallest vertex within _TIE_TOL * (1 + |minimum|) of
+    it.  Beyond the cap only the linear program is solved, and the
+    quadratic value is that of the LP vertex (mode "lp").
     """
-    N = cells.n_cells
-    if mode == "auto":
-        mode = "exhaustive" if N <= EXHAUSTIVE_CAP else "lp"
-    if mode == "exhaustive" and N > EXHAUSTIVE_CAP:
-        raise ValidationError(
-            f"exhaustive enumeration capped at N={EXHAUSTIVE_CAP} (got {N}); "
-            "use LP mode"
-        )
     A, B, C, D = cells.arrays()
-    if mode == "lp":
+    if cells.n_cells > EXHAUSTIVE_CAP:
         return _solve_lp(cells, A, B, C, D, float(I0), float(J0))
     return _solve_exhaustive(cells, A, B, C, D, float(I0), float(J0))
 
@@ -280,7 +244,7 @@ def _vertices(A, B, C, I0, J0):
     enumeration would.
 
     Returns arrays (i, j, pattern, t_i, t_j, sum of A over the pattern),
-    sorted by pair and then pattern, with t_i and t_j clipped to [0, 1].
+    in no particular order, with t_i and t_j clipped to [0, 1].
     """
     N = len(A)
     m = N - 2
@@ -352,16 +316,20 @@ def _vertices(A, B, C, I0, J0):
         & (tj >= -_FEAS_TOL)
         & (tj <= 1.0 + _FEAS_TOL)
     )
-    srt = np.argsort(q[ok] << m | pat[ok])
-    q = q[ok][srt]
-    return (pi[q], pj[q], pat[ok][srt], np.clip(ti[ok][srt], 0.0, 1.0),
-            np.clip(tj[ok][srt], 0.0, 1.0), sA[ok][srt])
+    q = q[ok]
+    return (pi[q], pj[q], pat[ok], np.clip(ti[ok], 0.0, 1.0),
+            np.clip(tj[ok], 0.0, 1.0), sA[ok])
 
 
 def _solve_exhaustive(cells, A, B, C, D, I0, J0):
     N = len(A)
     m = N - 2
     i, j, pat, ti, tj, base_l = _vertices(A, B, C, I0, J0)
+    if not len(i):
+        raise FeasibilityError(
+            f"(I0, J0) = ({I0}, {J0}) infeasible for the cell polytope",
+            boundary="cell polytope",
+        )
     lvals = base_l + ti * A[i] + tj * A[j]
     qvals = (
         base_l
@@ -370,42 +338,20 @@ def _solve_exhaustive(cells, A, B, C, D, I0, J0):
         + tj * (A[j] + D[j])
         - tj * tj * D[j]
     )
-    # each pair offers its (at most 8) patterns within the tie tolerance of
-    # its own minimum, pairs in order and patterns in increasing order
-    first = np.diff(i * N + j, prepend=-1) != 0
-    starts = np.flatnonzero(first)
-    group = np.cumsum(first) - 1
-    best_q = _Best()
-    best_l = _Best()
-    for vals, best in ((qvals, best_q), (lvals, best_l)):
-        if not len(vals):
-            break
-        lo = np.minimum.reduceat(vals, starts)[group]
-        near = vals <= lo + _TIE_TOL * (1.0 + np.abs(lo))
-        seen = np.cumsum(near)
-        rank = seen - np.concatenate(([0], seen[starts[1:] - 1]))[group]
-        sel = np.flatnonzero(near & (rank <= 8))
-        taus = np.zeros((len(sel), N))
-        rows = np.arange(len(sel))
-        taus[rows[:, None], _others(i[sel], j[sel], m)] = (
-            pat[sel, None] >> np.arange(m)) & 1
-        taus[rows, i[sel]] = ti[sel]
-        taus[rows, j[sel]] = tj[sel]
-        for s, tau in zip(sel, taus):
-            best.offer(float(vals[s]), tuple(tau))
 
-    if best_q.tau is None:
-        raise FeasibilityError(
-            f"(I0, J0) = ({I0}, {J0}) infeasible for the cell polytope",
-            boundary="cell polytope",
-        )
-    return DiscreteSolution(
-        tau=best_q.tau,
-        Q=best_q.value,
-        tau_linear=best_l.tau,
-        L=best_l.value,
-        mode="exhaustive",
-    )
+    def argmin(vals):
+        # the exact minimum, and the lexicographically smallest tau among
+        # the vertices tied with it
+        lo = vals.min()
+        k = np.flatnonzero(vals <= lo + _TIE_TOL * (1.0 + abs(lo)))
+        taus = np.zeros((len(k), N))
+        rows = np.arange(len(k))
+        taus[rows[:, None], _others(i[k], j[k], m)] = (pat[k, None] >> np.arange(m)) & 1
+        taus[rows, i[k]] = ti[k]
+        taus[rows, j[k]] = tj[k]
+        return tuple(taus[np.lexsort(taus.T[::-1])[0]]), float(lo)
+
+    return DiscreteSolution(*argmin(qvals), *argmin(lvals), mode="exhaustive")
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +399,10 @@ def verify(res: ReservoirPair, I, J, N=16, window=None, tol=1e-8):
     bound.
 
     Only the upper check rests on a bound: a cell-constant transmission is
-    admissible, so var_opt <= discrete_Q.  The lower check does not.  The
-    2N cells are solved in LP mode, so refined_Q is the quadratic objective
-    at the 2N-cell LP vertex, not the 2N-cell minimum, and the
+    admissible, so var_opt <= discrete_Q.  The lower check does not.  At
+    N > 8 the 2N cells are beyond EXHAUSTIVE_CAP and solved by the LP, so
+    refined_Q is the quadratic objective at the 2N-cell LP vertex, not the
+    2N-cell minimum, and the
     extrapolation is no lower bound on var_opt: the lower check is a
     consistency check, not a certificate.  A sharp lower check,
     from weak duality at the cell LP's multipliers, is ROADMAP item 6.

@@ -31,7 +31,6 @@ from .boxcar import (
     Multipliers,
     _fields,
     _workspace,
-    boxcar_current,
     boxcar_integrals,
     solve_boxcar,
 )
@@ -98,8 +97,8 @@ def current_bounds(res: ReservoirPair) -> CurrentBounds:
         return CurrentBounds(0.0, d, EMPTY, full)
     left = BoxcarSet(((-INF, e0),))
     right = BoxcarSet(((e0, INF),))
-    I_left = boxcar_current(res, left)
-    I_right = boxcar_current(res, right)
+    I_left = boxcar_integrals(res, left)[0]
+    I_right = boxcar_integrals(res, right)[0]
     if I_left <= I_right:
         return CurrentBounds(I_left, I_right, left, right)
     return CurrentBounds(I_right, I_left, right, left)
@@ -201,7 +200,7 @@ class BifurcationPoint:
     J: float
 
 
-def bifurcation_curves(res: ReservoirPair, z_grid=None, eta_grid=None, xtol=1e-12):
+def bifurcation_curves(res: ReservoirPair, z_grid=None, eta_grid=None):
     """Bifurcation set sampled in multiplier space and mapped to (I, J).
 
     Tangency branch: lam = G'(z), eta = G(z) - z G'(z) with G = g/delta_f
@@ -231,11 +230,11 @@ def bifurcation_curves(res: ReservoirPair, z_grid=None, eta_grid=None, xtol=1e-1
         lam = float(dgz)
         eta = float(gz - z * dgz)
         try:
-            B = solve_boxcar(res, Multipliers(lam, eta), xtol=xtol)
+            B = solve_boxcar(res, Multipliers(lam, eta))
         except SolverError:
             # the tangency point itself is the degenerate case the scan is
             # allowed to miss; perturb off the curve for the mapped point
-            B = solve_boxcar(res, Multipliers(lam, eta * (1 + 1e-9) + 1e-12), xtol=xtol)
+            B = solve_boxcar(res, Multipliers(lam, eta * (1 + 1e-9) + 1e-12))
         I, J, _ = boxcar_integrals(res, B)
         rows.append(BifurcationPoint("B_tan", lam, eta, I, J))
     if skipped:
@@ -252,7 +251,7 @@ def bifurcation_curves(res: ReservoirPair, z_grid=None, eta_grid=None, xtol=1e-1
         pad = 0.25 * (hi - lo) + 0.1
         eta_grid = np.linspace(lo - pad, hi + pad, 121)
     for eta in np.asarray(eta_grid, dtype=float):
-        B = solve_boxcar(res, Multipliers(0.0, float(eta)), xtol=xtol)
+        B = solve_boxcar(res, Multipliers(0.0, float(eta)))
         I, J, _ = boxcar_integrals(res, B)
         rows.append(BifurcationPoint("B_0", 0.0, float(eta), I, J))
     return rows

@@ -76,7 +76,7 @@ def test_dqd_symmetry_and_tail():
 
 
 def test_symmetric_width_round_trip(rng):
-    from turbox import boxcar_current
+    from turbox import boxcar_integrals
 
     for _ in range(10):
         beta = float(rng.uniform(0.3, 3.0))
@@ -84,7 +84,7 @@ def test_symmetric_width_round_trip(rng):
         I_t = -float(rng.uniform(0.05, 0.95)) * dmu
         a = symmetric_boxcar_width(beta, dmu, I_t)
         res = _symmetric_reservoirs(beta, dmu)
-        I = boxcar_current(res, BoxcarSet(((-a / 2.0, a / 2.0),)))
+        I = boxcar_integrals(res, BoxcarSet(((-a / 2.0, a / 2.0),)))[0]
         assert I == pytest.approx(I_t, rel=1e-10)
 
 

@@ -14,7 +14,6 @@ from turbox import (
     NearBifurcationError,
     ReservoirPair,
     ValidationError,
-    boxcar_current,
     boxcar_integrals,
     current_bounds,
     delta_f,
@@ -160,9 +159,9 @@ def test_solution_set_signs(fig2_res, rng):
 def test_endpoint_residual_tolerance(fig2_res, rng):
     for _ in range(5):
         m = Multipliers(float(rng.uniform(-10, 10)), float(rng.uniform(-10, 10)))
-        B = solve_boxcar(fig2_res, m, xtol=1e-12)
+        B = solve_boxcar(fig2_res, m)
         for e in B.finite_endpoints():
-            # R changes by ~|R'| * xtol across the root
+            # R changes by ~|R'| * 1e-12 across the root
             assert abs(residual(fig2_res, m, e)) < 1e-9 * (1.0 + abs(m.lam))
 
 
@@ -493,7 +492,7 @@ def test_monotonicity_along_multipliers(fig2_res):
     Is = []
     for eta in np.linspace(-4.0, 4.0, 33):
         B = solve_boxcar(fig2_res, Multipliers(lam, float(eta)))
-        Is.append(boxcar_current(fig2_res, B))
+        Is.append(boxcar_integrals(fig2_res, B)[0])
     assert all(b - a >= -1e-11 for a, b in zip(Is[:-1], Is[1:]))
 
     eta = 1.3

@@ -210,13 +210,17 @@ def test_boxcar_defect_controls_near_optima(fig2_res, rng):
         found += 1
 
 
-def test_exhaustive_cap_and_lp_mode(fig2_res):
+def test_lp_beyond_exhaustive_cap(fig2_res):
     cells = discretize(fig2_res, mass_window(fig2_res), 20)
-    with pytest.raises(ValidationError, match="LP"):
-        solve_discrete(cells, 0.01, 0.05, mode="exhaustive")
-    d = solve_discrete(cells, 0.01, 0.05, mode="lp")
+    d = solve_discrete(cells, 0.01, 0.05)
     assert d.mode == "lp"
     assert d.Q >= d.L - 1e-12
+
+
+def _lp(cells, I, J):
+    from turbox.oracle import _solve_lp
+
+    return _solve_lp(cells, *cells.arrays(), I, J)
 
 
 def test_lp_agrees_with_exhaustive(fig2_res, rng):
@@ -224,10 +228,11 @@ def test_lp_agrees_with_exhaustive(fig2_res, rng):
     for _ in range(5):
         I, J = random_interior_target(rng, fig2_res, margin=0.15)
         try:
-            dx = solve_discrete(cells, I, J, mode="exhaustive")
+            dx = solve_discrete(cells, I, J)
         except FeasibilityError:
             continue
-        dl = solve_discrete(cells, I, J, mode="lp")
+        assert dx.mode == "exhaustive"
+        dl = _lp(cells, I, J)
         assert dl.L == pytest.approx(dx.L, rel=1e-9, abs=1e-11)
 
 
@@ -236,7 +241,7 @@ def test_infeasible_polytope_target(fig2_res):
     with pytest.raises(FeasibilityError):
         solve_discrete(cells, 100.0, 0.0)
     with pytest.raises(FeasibilityError):
-        solve_discrete(cells, 100.0, 0.0, mode="lp")
+        _lp(cells, 100.0, 0.0)
 
 
 def test_sandwich_against_continuous(fig2_res, rng):
@@ -300,17 +305,19 @@ def test_grid_aligned_verify_small_gaps(fig2_res):
 def _reference_exhaustive(A, B, C, D, I0, J0):
     """The per-pair pattern-matrix enumeration: every binary pattern of
     the cells other than (i, j), no pruning.  Returns the feasible
-    (i, j, pattern) set and the DiscreteSolution fields (tau, Q, tau_linear, L),
-    or None for them when nothing is feasible."""
-    from turbox.oracle import _FEAS_TOL, _TIE_TOL, _Best
+    (i, j, pattern) set and the DiscreteSolution fields (tau, Q, tau_linear, L):
+    each value the minimum over every feasible vertex, each tau the smallest
+    tied tau tuple in Python's lexicographic order, or None for all four
+    when nothing is feasible."""
+    from turbox.oracle import _FEAS_TOL, _TIE_TOL
 
     N = len(A)
     m = N - 2
     patterns = ((np.arange(2**m)[:, None] >> np.arange(m)) & 1).astype(float)
     scale_bc = max(np.abs(B).max(), np.abs(C).max(), 1e-300)
     feasible = set()
-    best_q = _Best()
-    best_l = _Best()
+    q_vertices = []
+    l_vertices = []
     idx_all = np.arange(N)
     for i in range(N):
         for j in range(i + 1, N):
@@ -343,20 +350,24 @@ def _reference_exhaustive(A, B, C, D, I0, J0):
                 + tj * (A[j] + D[j])
                 - tj * tj * D[j]
             )
-
-            def reconstruct(k):
+            for k in range(len(pat)):
                 tau = np.zeros(N)
                 tau[others] = pat[k]
                 tau[i] = ti[k]
                 tau[j] = tj[k]
-                return tuple(tau)
+                q_vertices.append((float(qvals[k]), tuple(tau)))
+                l_vertices.append((float(lvals[k]), tuple(tau)))
+    if not feasible:
+        return feasible, None, None, None, None
 
-            for vals, best in ((qvals, best_q), (lvals, best_l)):
-                lo = vals.min()
-                near = np.nonzero(vals <= lo + _TIE_TOL * (1.0 + abs(lo)))[0]
-                for k in near[:8]:
-                    best.offer(float(vals[k]), reconstruct(int(k)))
-    return feasible, best_q.tau, best_q.value, best_l.tau, best_l.value
+    def best(vertices):
+        lo = min(v for v, _ in vertices)
+        tol = _TIE_TOL * (1.0 + abs(lo))
+        return min(tau for v, tau in vertices if v <= lo + tol), lo
+
+    tau, Q = best(q_vertices)
+    tau_l, L = best(l_vertices)
+    return feasible, tau, Q, tau_l, L
 
 
 def _exhaustive_cases():
@@ -408,16 +419,45 @@ def test_exhaustive_matches_pattern_matrix_reference():
         assert set(zip(i.tolist(), j.tolist(), pat.tolist())) == feasible
         if tau is None:
             with pytest.raises(FeasibilityError):
-                solve_discrete(cells, I0, J0, mode="exhaustive")
+                solve_discrete(cells, I0, J0)
             n_infeasible += 1
             continue
-        d = solve_discrete(cells, I0, J0, mode="exhaustive")
+        d = solve_discrete(cells, I0, J0)
+        assert d.mode == "exhaustive"
         assert d.Q == pytest.approx(Q, rel=1e-14, abs=1e-300)
         assert d.L == pytest.approx(L, rel=1e-14, abs=1e-300)
         assert np.allclose(d.tau, tau, rtol=0.0, atol=1e-12)
         assert np.allclose(d.tau_linear, tau_l, rtol=0.0, atol=1e-12)
         n_feasible += 1
     assert n_feasible >= 35 and n_infeasible >= 4
+
+
+def test_wide_window_ties_yield_smallest_vertex(fig2_res):
+    # on (-60, 60) the outer cells carry under 1e-12 of the mass, so 64
+    # vertices tie for the quadratic optimum, more than eight of them in
+    # several pairs; the returned tau is the smallest of all 64
+    from turbox.oracle import _TIE_TOL, _others, _vertices
+
+    N = 12
+    cells = discretize(fig2_res, (-60.0, 60.0), N)
+    A, B, C, D = cells.arrays()
+    tau = np.zeros(N)
+    tau[5:7] = 1.0
+    tau[7] = 0.4
+    I0, J0 = float(B @ tau), float(C @ tau)
+    i, j, pat, ti, tj, _ = _vertices(A, B, C, I0, J0)
+    taus = np.zeros((len(i), N))
+    rows = np.arange(len(i))
+    taus[rows[:, None], _others(i, j, N - 2)] = (pat[:, None] >> np.arange(N - 2)) & 1
+    taus[rows, i] = ti
+    taus[rows, j] = tj
+    q = np.array([_q_of(A, D, t) for t in taus])
+    tied = q <= q.min() + _TIE_TOL * (1.0 + abs(q.min()))
+    assert tied.sum() == 64
+    assert max(np.unique(i[tied] * N + j[tied], return_counts=True)[1]) > 8
+    d = solve_discrete(cells, I0, J0)
+    assert d.tau == min(tuple(t) for t in taus[tied])
+    assert d.Q == pytest.approx(q.min(), rel=1e-14)
 
 
 def test_mass_window_cache_matches_fresh_solve(fig2_res):

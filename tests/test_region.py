@@ -12,7 +12,7 @@ from turbox import (
     Multipliers,
     ReservoirPair,
     bifurcation_curves,
-    boxcar_energy_current,
+    boxcar_integrals,
     classify_topology,
     compute_region_map,
     current_bounds,
@@ -64,10 +64,8 @@ def test_j_extrema_basic(fig2_res):
     assert ex.J_min < ex.J_max
     assert ex.var_min > 0.0 and ex.var_max > 0.0
     # the compact boxcar matches the requested current exactly
-    from turbox import boxcar_current
-
     for B in (ex.boxcar_min, ex.boxcar_max):
-        assert boxcar_current(fig2_res, B) == pytest.approx(I, abs=1e-12)
+        assert boxcar_integrals(fig2_res, B)[0] == pytest.approx(I, abs=1e-12)
     # here T_L > T_R: J_min comes from the compact boxcar starting at eps0
     assert ex.boxcar_min.intervals[0][0] == pytest.approx(0.875, abs=1e-12)
     assert ex.boxcar_min.intervals[0][1] == pytest.approx(ex.eps1, abs=1e-12)
@@ -102,8 +100,6 @@ def test_j_extrema_bounds_random_boxcars(fig2_res, rng):
     # 50 random boxcars adjusted to carry the same current stay inside
     # [J_min, J_max]; with draws anchored near eps0 the sample minimum also
     # reproduces J_min itself
-    from turbox import boxcar_current
-
     cb = current_bounds(fig2_res)
     I_t = 0.4 * cb.I_max
     ex = j_extrema(fig2_res, I_t)
@@ -112,7 +108,7 @@ def test_j_extrema_bounds_random_boxcars(fig2_res, rng):
     def adjusted_boxcar(a):
         # adjust the right endpoint by monotone bisection to match I_t
         lo, hi = a + 1e-9, 14.0
-        f = lambda b: boxcar_current(fig2_res, BoxcarSet(((a, b),))) - I_t
+        f = lambda b: boxcar_integrals(fig2_res, BoxcarSet(((a, b),)))[0] - I_t
         if f(lo) * f(hi) > 0:
             return None
         for _ in range(80):
@@ -131,7 +127,7 @@ def test_j_extrema_bounds_random_boxcars(fig2_res, rng):
         B = adjusted_boxcar(a)
         if B is None:
             continue
-        J = boxcar_energy_current(fig2_res, B)
+        J = boxcar_integrals(fig2_res, B)[1]
         assert ex.J_min - 1e-8 <= J <= ex.J_max + 1e-8
         sample_min = min(sample_min, J)
         checked += 1
